@@ -20,14 +20,107 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from repro.core.model.context import ModelContext
 from repro.errors import ModelError
 from repro.util.intmath import log_base
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _fminbound(
+    func: Callable[[float], float],
+    a: float,
+    b: float,
+    xatol: float,
+    maxfun: int = 500,
+) -> Tuple[float, float]:
+    """Minimize ``func`` on ``[a, b]``; return ``(x, func(x))``.
+
+    Brent's bounded method, ported line for line from SciPy's
+    ``_minimize_scalar_bounded`` (the ``method="bounded"`` backend of
+    ``minimize_scalar``).  Only the numpy scalar helpers are swapped for
+    their stdlib equivalents, so every iterate — and therefore the
+    returned pair — is bit-identical to SciPy's.  Stops after
+    ``maxfun`` evaluations even if ``xatol`` is not yet met.
+    """
+    a, b = float(a), float(b)
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # Check for parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (1.0 if xm - xf >= 0 else -1.0)
+            else:
+                golden = True
+
+        if golden:  # golden-section step
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+
+    return xf, fx
 
 
 @dataclass(frozen=True)
@@ -301,7 +394,9 @@ class AdvancedModel:
 
         A dense deterministic grid scan locates the basin (W_g is
         piecewise smooth but kinked where the active saturation case
-        changes), then a bounded scalar minimize polishes it.
+        changes), then :func:`_fminbound` — an in-module port of
+        SciPy's bounded Brent minimizer — polishes ``α*`` inside the
+        two grid cells around the best grid point.
         """
         lo = self.alpha_min()
         hi = 1.0
@@ -313,14 +408,10 @@ class AdvancedModel:
         best = int(works.argmax())
         bracket_lo = alphas[max(best - 1, 0)]
         bracket_hi = alphas[min(best + 1, grid - 1)]
-        result = sciopt.minimize_scalar(
-            lambda al: -self.gpu_work(float(al)),
-            bounds=(bracket_lo, bracket_hi),
-            method="bounded",
-            options={"xatol": 1e-6},
+        alpha_star, neg_work = _fminbound(
+            lambda al: -self.gpu_work(al), bracket_lo, bracket_hi, xatol=1e-6
         )
-        alpha_star = float(result.x)
-        if -result.fun < works[best]:  # polish made it worse: keep grid point
+        if -neg_work < works[best]:  # polish made it worse: keep grid point
             alpha_star = float(alphas[best])
         return self.solution_at(alpha_star)
 

@@ -29,50 +29,43 @@ and the daemon answers a matching submission from ``results/`` with a
 ``docs/SERVICE.md`` for the full protocol and operational notes.
 """
 
-from repro.serve.cache import ResultCache, cache_key
-from repro.serve.daemon import JobDaemon
-from repro.serve.jobs import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    Job,
-    PriorityJobQueue,
-)
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    JobRequest,
-    ProtocolError,
-    canonical_request,
-    decode_message,
-    encode_message,
-    validate_request,
-)
-from repro.serve.transport import ServeServer, handle_message
-from repro.serve.client import ServeClient
+import importlib
 
-__all__ = [
-    "CANCELLED",
-    "DONE",
-    "FAILED",
-    "QUEUED",
-    "RUNNING",
-    "TERMINAL_STATES",
-    "Job",
-    "JobDaemon",
-    "JobRequest",
-    "PriorityJobQueue",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ResultCache",
-    "ServeClient",
-    "ServeServer",
-    "cache_key",
-    "canonical_request",
-    "decode_message",
-    "encode_message",
-    "handle_message",
-    "validate_request",
-]
+# Public name -> defining submodule.  Resolved on first attribute access
+# (PEP 562), so importing one submodule -- the experiment runner needs
+# only ``protocol`` and ``cache`` for its cache key -- does not drag in
+# the daemon, the transport, the client and asyncio.
+_EXPORTS = {
+    "ResultCache": "cache",
+    "cache_key": "cache",
+    "JobDaemon": "daemon",
+    "CANCELLED": "jobs",
+    "DONE": "jobs",
+    "FAILED": "jobs",
+    "QUEUED": "jobs",
+    "RUNNING": "jobs",
+    "TERMINAL_STATES": "jobs",
+    "Job": "jobs",
+    "PriorityJobQueue": "jobs",
+    "PROTOCOL_VERSION": "protocol",
+    "JobRequest": "protocol",
+    "ProtocolError": "protocol",
+    "canonical_request": "protocol",
+    "decode_message": "protocol",
+    "encode_message": "protocol",
+    "validate_request": "protocol",
+    "ServeServer": "transport",
+    "handle_message": "transport",
+    "ServeClient": "client",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

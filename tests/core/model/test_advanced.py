@@ -2,12 +2,15 @@
 closed forms, and their agreement, anchored on the paper's §5.2.2
 worked example (HPU1 parameters, mergesort, n = 2^24)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import AdvancedModel, ClosedFormModel, ModelContext
+from repro.core.model.advanced import _fminbound
 from repro.errors import ModelError
 from repro.hpu.hpu import HPUParameters
 
@@ -151,6 +154,134 @@ class TestAdvancedModelProperties:
         model = AdvancedModel(mergesort_ctx(n=2**16))
         sols = model.sweep([0.1, 0.2, 0.3])
         assert [s.alpha for s in sols] == [0.1, 0.2, 0.3]
+
+
+HPU2_PARAMS = HPUParameters(p=4, g=1200, gamma=1 / 65)
+PIN_PARAMS = {"HPU1": HPU1_PARAMS, "HPU2": HPU2_PARAMS}
+PIN_COSTS = {
+    "1": lambda m: 1.0,
+    "n": lambda m: m,
+    "nlogn": lambda m: m * math.log2(m),
+}
+
+# optimize() -> (alpha, y, tc, gpu_work) as float.hex, recorded with the
+# SciPy minimize_scalar(method="bounded") polish that _fminbound replaces.
+OPTIMIZE_PINS = [
+    (
+        "worked-example", 2, 2, 2**24, "n", "HPU1",
+        "0x1.638c656b6eaa8p-3", "0x1.28ac6d00f31a7p+3",
+        "0x1.c6f76b18a983bp+23", "0x1.9ff1f540a4498p+27",
+    ),
+    (
+        "hpu2-mergesort", 2, 2, 2**24, "n", "HPU2",
+        "0x1.9f2a99b0ae328p-3", "0x1.000002ce69235p+3",
+        "0x1.0c8767ff7275bp+24", "0x1.b1b8acf04b16dp+27",
+    ),
+    (
+        "a2-f1-hpu1", 2, 2, 2**20, "1", "HPU1",
+        "0x1.1572723b68eddp-3", "0x1.40023ab9d2100p+3",
+        "0x1.15716ce2efc8ep+16", "0x1.ba6c0b29e6893p+20",
+    ),
+    (
+        "a2-nlogn-hpu1", 2, 2, 2**22, "nlogn", "HPU1",
+        "0x1.a681c0638a6b7p-3", "0x1.1ffffed7daf23p+3",
+        "0x1.13a3458878c61p+25", "0x1.2414b1097346cp+28",
+    ),
+    (
+        "a2-n-hpu2-small", 2, 2, 2**16, "n", "HPU2",
+        "0x1.bedcaa603a416p-3", "0x1.ffffff40645f6p+2",
+        "0x1.6597aecc304d9p+15", "0x1.c251f0aabc74cp+18",
+    ),
+    (
+        "a3-n-hpu1", 3, 3, 3**12, "n", "HPU1",
+        "0x1.6d0fae08cf6aap-3", "0x1.80000e1d456b6p+2",
+        "0x1.d6574abfb55f1p+17", "0x1.752a53e68d90ap+21",
+    ),
+    (
+        "a3-nlogn-hpu1", 3, 3, 3**14, "nlogn", "HPU1",
+        "0x1.63762f26bc66dp-3", "0x1.7fffff694050fp+2",
+        "0x1.571e6721f39c7p+24", "0x1.b5ba111b3d08ep+27",
+    ),
+    (
+        "a3-f1-hpu2", 3, 3, 3**13, "1", "HPU2",
+        "0x1.6cc280356fe4bp-3", "0x1.8000945c845e8p+2",
+        "0x1.9ff383fb136a6p+16", "0x1.dfcc0b346588fp+20",
+    ),
+    (
+        "a4-n-hpu1", 4, 2, 2**20, "n", "HPU1",
+        "0x1.14c4b2ca63c34p-3", "0x1.3f9ae2fac0000p+2",
+        "0x1.14c480d7d8f9fp+36", "0x1.bacd19dc5f598p+40",
+    ),
+    (
+        "a4-f1-hpu2", 4, 4, 4**10, "1", "HPU2",
+        "0x1.6cbc39ab9f93ap-3", "0x1.3fde64f540762p+2",
+        "0x1.e64f7a1583982p+15", "0x1.1879c9ebb89b4p+20",
+    ),
+    (
+        "a4-nlogn-hpu2", 4, 2, 2**18, "nlogn", "HPU2",
+        "0x1.6ca15ce9b99c8p-3", "0x1.3ffe5d621cb1dp+2",
+        "0x1.117137b8fb898p+33", "0x1.3b706de4ef9a0p+37",
+    ),
+    (
+        "degenerate", 2, 2, 2**2, "n", "HPU1",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+1",
+        "0x1.0000000000000p+0", "0x0.0p+0",
+    ),
+]
+
+
+class TestOptimizeBitExact:
+    """The in-module Brent polish reproduces the former SciPy result to
+    the last bit; every golden downstream of α* depends on it."""
+
+    @pytest.mark.parametrize(
+        "name,a,b,n,f,hpu,alpha,y,tc,gpu_work",
+        OPTIMIZE_PINS,
+        ids=[pin[0] for pin in OPTIMIZE_PINS],
+    )
+    def test_pinned(self, name, a, b, n, f, hpu, alpha, y, tc, gpu_work):
+        ctx = ModelContext(a=a, b=b, n=n, f=PIN_COSTS[f], params=PIN_PARAMS[hpu])
+        sol = AdvancedModel(ctx).optimize()
+        got = [float(v).hex() for v in (sol.alpha, sol.y, sol.tc, sol.gpu_work)]
+        assert got == [alpha, y, tc, gpu_work]
+
+
+class TestFminbound:
+    def test_interior_quadratic(self):
+        x, fx = _fminbound(lambda t: (t - 0.3) ** 2 + 2.0, 0.0, 1.0, xatol=1e-8)
+        assert x == pytest.approx(0.3, abs=1e-7)
+        assert fx == (x - 0.3) ** 2 + 2.0
+
+    @pytest.mark.parametrize("slope,edge", [(1.0, 0.0), (-1.0, 1.0)])
+    def test_minimum_at_bracket_edge(self, slope, edge):
+        x, fx = _fminbound(lambda t: slope * t, 0.0, 1.0, xatol=1e-6)
+        assert 0.0 <= x <= 1.0
+        assert x == pytest.approx(edge, abs=1e-5)
+        assert fx == slope * x
+
+    def test_flat_function(self):
+        calls = []
+
+        def flat(t):
+            calls.append(t)
+            return 7.0
+
+        x, fx = _fminbound(flat, 2.0, 3.0, xatol=1e-6)
+        assert 2.0 <= x <= 3.0
+        assert fx == 7.0
+        assert len(calls) < 500
+
+    def test_maxfun_exhaustion(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return (t - 0.123) ** 2
+
+        x, fx = _fminbound(f, 0.0, 1.0, xatol=1e-12, maxfun=5)
+        assert len(calls) == 5
+        assert fx == min((t - 0.123) ** 2 for t in calls)
+        assert x in calls
 
 
 class TestClosedFormValidation:
