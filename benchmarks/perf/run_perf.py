@@ -34,22 +34,15 @@ repo root so successive PRs can track the perf trajectory:
   polling at 20 Hz — what leaving the service flight recorder on
   costs.  ``--guard-telemetry-pct PCT`` turns that into an absolute
   CI limit (the sampler only reads, so this should stay in the noise);
-- ``fig8_fast_parallel_s`` / ``sweep_parallel_speedup``: the same
-  pipeline through the :mod:`repro.parallel` sweep engine with one
-  worker per CPU (``sweep_jobs``), vs the serial number — the
-  process-parallel win.  ``cpu_count`` records the cores seen, since
-  the speedup is meaningless on a 1-core box.
+- ``cpu_count``: the cores the host exposes, to tell hosts apart when
+  comparing trajectories.
 
 ``--guard-fig8-pct PCT`` additionally compares the untraced
 ``fig8_fast_s`` against the recorded baseline (repo-root
 ``BENCH_perf.json`` by default) and exits non-zero past the limit —
 CI's guard that instrumentation stays free when tracing is off.
-``--guard-parallel-pct PCT`` does the same for
-``sweep_parallel_speedup`` (skipped below 2 cores, where a process
-pool can only lose — single-core reports also carry a
-``sweep_parallel_note`` so the committed figure is not misread as a
-regression).  ``--guard-engine-pct PCT`` guards ``engine_events_per_s``
-against throughput drops the same way.
+``--guard-engine-pct PCT`` guards ``engine_events_per_s`` against
+throughput drops the same way.
 
 Besides overwriting ``BENCH_perf.json`` (the committed baseline), each
 run appends one compact line to ``BENCH_history.jsonl`` so the perf
@@ -214,29 +207,6 @@ def bench_fig8_fast_telemetry(best_of: int = 3) -> float:
     return best
 
 
-def bench_fig8_fast_parallel(best_of: int = 3) -> dict:
-    """The fig8 --fast pipeline through the process-parallel engine.
-
-    Configures the ambient :class:`repro.parallel.SweepEngine` with one
-    worker per CPU (what ``--jobs auto`` does) and times the same
-    pipeline :func:`bench_fig8_fast` timed serially.  On a multi-core
-    box the sweep fans the (platform, n) grid across workers; on one
-    core it degrades to pool overhead, which the report records
-    honestly rather than hiding.
-    """
-    import os
-
-    from repro import parallel
-
-    jobs = os.cpu_count() or 1
-    parallel.configure(jobs=jobs)
-    try:
-        elapsed = min(_fig8_once() for _ in range(best_of))
-    finally:
-        parallel.deconfigure()
-    return {"fig8_fast_parallel_s": round(elapsed, 3), "sweep_jobs": jobs}
-
-
 def append_history(path: Path, report: dict) -> None:
     """Append one compact line per harness run to ``BENCH_history.jsonl``.
 
@@ -253,7 +223,6 @@ def append_history(path: Path, report: dict) -> None:
         "fig8_fast_s": bench.get("fig8_fast_s"),
         "trace_overhead_pct": bench.get("trace_overhead_pct"),
         "telemetry_overhead_pct": bench.get("telemetry_overhead_pct"),
-        "sweep_parallel_speedup": bench.get("sweep_parallel_speedup"),
         "cpu_count": bench.get("cpu_count"),
     }
     with path.open("a") as fh:
@@ -323,37 +292,6 @@ def guard_engine(measured: float, baseline: dict, pct: float) -> int:
     return 0
 
 
-def guard_parallel(
-    measured_speedup: float, cpu_count: int, baseline: dict, pct: float
-) -> int:
-    """Fail if the parallel-sweep speedup dropped more than ``pct``
-    percent below the recorded baseline.
-
-    Skipped (success) below 2 cores: a process pool cannot beat serial
-    there, so the speedup carries no signal.
-    """
-    if cpu_count < 2:
-        print(
-            f"parallel guard: only {cpu_count} core(s) visible, skipping"
-        )
-        return 0
-    base = baseline.get("benchmarks", {}).get("sweep_parallel_speedup")
-    if not base:
-        print("parallel guard: baseline has no sweep_parallel_speedup, "
-              "skipping")
-        return 0
-    drop_pct = (base - measured_speedup) / base * 100.0
-    print(
-        f"parallel guard: sweep speedup {measured_speedup:.2f}x vs "
-        f"baseline {base:.2f}x ({-drop_pct:+.1f}%, limit -{pct:.0f}%)"
-    )
-    if drop_pct > pct:
-        print("parallel guard: FAIL — parallel sweep speedup regressed "
-              "past the limit")
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -376,13 +314,6 @@ def main(argv=None) -> int:
         help="exit non-zero if DES event throughput "
         "(engine_events_per_s) is more than PCT%% below the recorded "
         "baseline",
-    )
-    parser.add_argument(
-        "--guard-parallel-pct",
-        type=float,
-        metavar="PCT",
-        help="exit non-zero if the parallel sweep speedup is more than "
-        "PCT%% below the recorded baseline (skipped under 2 cores)",
     )
     parser.add_argument(
         "--guard-telemetry-pct",
@@ -415,7 +346,6 @@ def main(argv=None) -> int:
     guarding = (
         args.guard_fig8_pct is not None
         or args.guard_engine_pct is not None
-        or args.guard_parallel_pct is not None
     )
     guard_baseline = None
     if guarding and args.guard_baseline.exists():
@@ -425,7 +355,6 @@ def main(argv=None) -> int:
 
     from bench_queue import bench_queue_backends
 
-    cpu_count = os.cpu_count() or 1
     engine_rate = round(bench_engine_events())
     results = {"engine_events_per_s": engine_rate}
     results.update(bench_queue_backends())
@@ -445,19 +374,7 @@ def main(argv=None) -> int:
         (fig8_telemetry_s - fig8_s) / fig8_s * 100.0, 1
     )
     results["telemetry_overhead_pct"] = telemetry_overhead_pct
-    results.update(bench_fig8_fast_parallel())
-    results["cpu_count"] = cpu_count
-    parallel_speedup = round(fig8_s / results["fig8_fast_parallel_s"], 2)
-    results["sweep_parallel_speedup"] = parallel_speedup
-    if cpu_count < 2:
-        # A single-core host can only pay pool overhead; say so in the
-        # report so a committed <1.0x figure reads as a footnote, not a
-        # regression.  The --guard-parallel-pct check skips it too.
-        results["sweep_parallel_note"] = (
-            "measured on a 1-core host: the sweep engine degrades to "
-            "serial plus pool overhead, so this figure carries no "
-            "regression signal (guards skip it)"
-        )
+    results["cpu_count"] = os.cpu_count() or 1
 
     report = {
         "generated_unix": int(time.time()),
@@ -483,11 +400,6 @@ def main(argv=None) -> int:
     if args.guard_engine_pct is not None:
         status |= guard_engine(
             engine_rate, guard_baseline, args.guard_engine_pct
-        )
-    if args.guard_parallel_pct is not None:
-        status |= guard_parallel(
-            parallel_speedup, cpu_count, guard_baseline,
-            args.guard_parallel_pct,
         )
     return status
 

@@ -88,7 +88,7 @@ class _MergesortGpuSteps:
     Without it, the merges pay strided global accesses instead.
 
     A module-level class (rather than a closure over ``coalesce``) so
-    workloads pickle for process-parallel sweeps (:mod:`repro.parallel`).
+    workloads pickle and compare by value.
     """
 
     __slots__ = ("coalesce",)

@@ -13,9 +13,8 @@ The Fig. 8/10 experiment sweeps are thin wrappers over this.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,25 +25,6 @@ from repro.errors import ScheduleError
 from repro.hpu.hpu import HPU
 from repro.obs.tracer import active as _obs_active
 from repro.util.rng import NO_NOISE, NoiseModel
-
-
-def _evaluate_points_task(payload):
-    """Worker-side chunk of an auto-tune grid (picklable, module-level).
-
-    Builds a fresh tuner in the worker — every evaluation is a fresh
-    DES with keyed noise, so the results equal what the parent tuner
-    would have measured — and returns its memo (admissible results
-    *and* recorded :class:`ScheduleError`\\ s), the executor runs spent,
-    and the worker pid (so the parent can detect in-process fallback).
-    """
-    hpu, workload, noise, points = payload
-    tuner = AutoTuner(hpu, workload, noise=noise)
-    for alpha, level in points:
-        try:
-            tuner.evaluate(alpha, level)
-        except ScheduleError:
-            pass  # recorded in the memo; the selection loop re-raises
-    return tuner._cache, tuner.executor_runs, os.getpid()
 
 
 @dataclass(frozen=True)
@@ -155,80 +135,43 @@ class AutoTuner:
             self.executor_runs += 1
         return self._cpu_fallback
 
-    def prefetch(self, alphas, levels, engine=None) -> int:
-        """Fill the memo for a grid through a parallel sweep engine.
+    def prefetch(self, alphas, levels) -> int:
+        """Fill the memo for a grid without selecting a best point.
 
-        Splits the grid points missing from :attr:`_cache` into
-        per-worker chunks (in the level-major order :meth:`tune`
-        visits, so absorbed traces keep the serial ordering), evaluates
-        them in fresh worker tuners, and merges the memos back.  The
-        subsequent selection loop then runs entirely on cache hits, so
-        tuning results — best point, speedup, ``evaluations`` count —
-        are identical to the serial search.
-
-        ``engine=None`` resolves the ambient
-        :func:`repro.parallel.get_engine`; a serial engine (or a grid
-        with fewer than two missing points) makes this a no-op.
-        Returns the number of points prefetched.
+        Evaluates the grid points missing from :attr:`_cache` in the
+        level-major order :meth:`tune` visits; inadmissible points are
+        recorded in the memo like any other.  A later :meth:`tune` over
+        the same grid then runs entirely on cache hits.  Returns the
+        number of points evaluated.
         """
-        from repro.parallel import get_engine
-
-        engine = get_engine() if engine is None else engine
-        if not engine.parallel:
-            return 0
-        if not self.executor.fast or self.executor.resilience is not None:
-            # Worker tuners rebuild a *default* executor; a slow-path or
-            # resilience-configured one must keep evaluating in-process.
-            return 0
-        missing: List[Tuple[float, int]] = []
-        seen = set()
+        count = 0
         for level in levels:
             for alpha in alphas:
                 key = (float(alpha), int(level))
-                if key not in self._cache and key not in seen:
-                    seen.add(key)
-                    missing.append(key)
-        if len(missing) <= 1:
-            return 0
-        per_chunk = -(-len(missing) // engine.jobs)  # ceil division
-        noise = self.executor.noise
-        payloads = [
-            (self.hpu, self.workload, noise, tuple(missing[i : i + per_chunk]))
-            for i in range(0, len(missing), per_chunk)
-        ]
-        outcomes = engine.map(
-            _evaluate_points_task, payloads, label="autotune prefetch"
-        )
-        parent_pid = os.getpid()
-        for memo, runs, pid in outcomes:
-            if pid == parent_pid:
-                continue  # fallback ran in-process on this very tuner
-            for key, value in memo.items():
-                self._cache.setdefault(key, value)
-            self.executor_runs += runs
-        return len(missing)
+                if key in self._cache:
+                    continue
+                count += 1
+                try:
+                    self.evaluate(*key)
+                except ScheduleError:
+                    pass  # recorded in the memo; tune() re-raises it
+        return count
 
     def tune(
         self,
         alphas: Optional[Sequence[float]] = None,
         levels: Optional[Sequence[int]] = None,
         include_cpu_fallback: bool = True,
-        engine=None,
     ) -> TunedPoint:
         """Find the best measured operating point over the grid.
 
         ``include_cpu_fallback`` also evaluates the multicore-only
         execution, which wins on inputs too small to amortize the
-        transfers (the left end of Fig. 8).  ``engine`` (a
-        :class:`repro.parallel.SweepEngine`) prefetches the grid across
-        worker processes before the — then cache-hit-only — selection
-        loop; the default ``None`` keeps the exact serial path.
+        transfers (the left end of Fig. 8).
         """
         alphas = self.default_alphas() if alphas is None else alphas
         levels = self.default_levels() if levels is None else levels
         runs_before = self.executor_runs
-        if engine is not None:
-            self.prefetch(alphas, levels, engine)
         best: Optional[HybridRunResult] = None
         best_point: Tuple[Optional[float], Optional[int]] = (None, None)
         if include_cpu_fallback:
@@ -260,7 +203,6 @@ class AutoTuner:
         levels: Optional[Sequence[int]] = None,
         include_cpu_fallback: bool = True,
         coarse: int = 3,
-        engine=None,
     ) -> TunedPoint:
         """Coarse-to-fine search: a decimated grid, then refinement.
 
@@ -285,16 +227,16 @@ class AutoTuner:
             for y in (self.default_levels() if levels is None else levels)
         ]
         if coarse < 2 or len(alphas) * len(levels) <= coarse**2:
-            return self.tune(alphas, levels, include_cpu_fallback, engine)
+            return self.tune(alphas, levels, include_cpu_fallback)
         runs_before = self.executor_runs
         try:
             best = self.tune(
-                alphas[::coarse], levels[::coarse], include_cpu_fallback, engine
+                alphas[::coarse], levels[::coarse], include_cpu_fallback
             )
         except ScheduleError:
             # The decimated grid can miss every admissible point; the
             # full grid is the authority on "no admissible point".
-            return self.tune(alphas, levels, include_cpu_fallback, engine)
+            return self.tune(alphas, levels, include_cpu_fallback)
         if best.used_gpu:
             ai = min(
                 range(len(alphas)), key=lambda i: abs(alphas[i] - best.alpha)
@@ -310,7 +252,6 @@ class AutoTuner:
                     near_alphas,
                     near_levels,
                     include_cpu_fallback=False,
-                    engine=engine,
                 )
             except ScheduleError:  # pragma: no cover - incumbent admissible
                 refined = best

@@ -18,7 +18,6 @@ from repro.cpu.device import CPUDevice
 from repro.errors import CalibrationError
 from repro.opencl.device import GPUDevice
 from repro.opencl.kernel import AccessPattern, Kernel, NDRange
-from repro.parallel import get_engine
 from repro.util.rng import NO_NOISE, NoiseModel
 
 
@@ -31,26 +30,6 @@ def single_thread_merge_kernel(total: int) -> Kernel:
         divergent=True,  # two-pointer merge: dependent, branchy
         access=AccessPattern.COALESCED,
     )
-
-
-def _gamma_probe_task(payload):
-    """One chunk of γ probes (picklable, module-level).
-
-    Workers rebuild both devices from their frozen specs — the probe
-    kernels hold lambdas and cannot cross a process boundary — and the
-    jitter is keyed on the probe size, so the ratios equal the serial
-    sweep's regardless of which worker measures which size.
-    """
-    gpu_spec, cpu_spec, noise, sizes = payload
-    gpu = GPUDevice(gpu_spec)
-    cpu = CPUDevice(cpu_spec)
-    samples = []
-    for size in sizes:
-        kernel = single_thread_merge_kernel(size)
-        gpu_time = gpu.time_for(kernel, NDRange(1, 1), {})
-        cpu_time = cpu.task_time(float(size))
-        samples.append((size, noise.apply(gpu_time / cpu_time, "gamma-sweep", size)))
-    return samples
 
 
 @dataclass(frozen=True)
@@ -81,19 +60,14 @@ def estimate_gamma(
     for size in sizes:
         if size < 2:
             raise CalibrationError(f"probe size must be >= 2, got {size!r}")
-    # Fan the size sweep through the ambient engine in contiguous
-    # chunks (sweep order preserved); serial engines run the legacy loop.
-    engine = get_engine()
-    workers = engine.jobs if engine.parallel else 1
-    per_chunk = -(-len(sizes) // workers)  # ceil division
-    chunks = [sizes[i : i + per_chunk] for i in range(0, len(sizes), per_chunk)]
     samples: List[Tuple[int, float]] = []
-    for chunk_samples in engine.map(
-        _gamma_probe_task,
-        [(gpu.spec, cpu.spec, noise, tuple(c)) for c in chunks],
-        label="gamma probe sweep",
-    ):
-        samples.extend(chunk_samples)
+    for size in sizes:
+        kernel = single_thread_merge_kernel(size)
+        gpu_time = gpu.time_for(kernel, NDRange(1, 1), {})
+        cpu_time = cpu.task_time(float(size))
+        samples.append(
+            (size, noise.apply(gpu_time / cpu_time, "gamma-sweep", size))
+        )
     estimate = float(np.median([ratio for _, ratio in samples]))
     return GammaEstimate(
         gamma_inverse_estimate=estimate, samples=tuple(samples)

@@ -16,9 +16,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CalibrationError
-from repro.opencl.device import GPUDevice, GPUDeviceSpec
+from repro.opencl.device import GPUDevice
 from repro.opencl.kernel import AccessPattern, Kernel, NDRange
-from repro.parallel import get_engine
 from repro.util.rng import NO_NOISE, NoiseModel
 
 
@@ -33,29 +32,6 @@ def elementwise_sum_kernel(chunk: int) -> Kernel:
         divergent=False,
         access=AccessPattern.COALESCED,
     )
-
-
-def _g_probe_task(payload):
-    """One chunk of saturation-sweep probes (picklable, module-level).
-
-    The probe kernels hold lambdas and cannot cross a process
-    boundary, so workers rebuild the device from its (frozen, hence
-    picklable) spec and the kernels from the chunk's thread counts;
-    ``time_for`` is a pure function of the spec, and the jitter is
-    keyed on the thread count, so samples are placement-independent.
-    """
-    spec, array_size, noise, thread_counts = payload
-    device = GPUDevice(spec)
-    samples = []
-    for threads in thread_counts:
-        chunk = max(1, array_size // int(threads))
-        kernel = elementwise_sum_kernel(chunk)
-        ndrange = NDRange(int(threads), min(64, int(threads)))
-        time = device.time_for(kernel, ndrange, {})
-        samples.append(
-            (int(threads), noise.apply(time, "g-sweep", int(threads)))
-        )
-    return samples
 
 
 @dataclass(frozen=True)
@@ -99,19 +75,13 @@ def estimate_g(
             np.geomspace(1, max_threads, num=num_points).astype(int)
         )
     ]
-    # Fan the probe grid through the ambient sweep engine in contiguous
-    # chunks (grid order preserved); serial engines run the legacy loop.
-    engine = get_engine()
-    workers = engine.jobs if engine.parallel else 1
-    per_chunk = -(-len(grid) // workers)  # ceil division
-    chunks = [grid[i : i + per_chunk] for i in range(0, len(grid), per_chunk)]
     samples: List[Tuple[int, float]] = []
-    for chunk_samples in engine.map(
-        _g_probe_task,
-        [(device.spec, array_size, noise, tuple(c)) for c in chunks],
-        label="g saturation sweep",
-    ):
-        samples.extend(chunk_samples)
+    for threads in grid:
+        chunk = max(1, array_size // threads)
+        kernel = elementwise_sum_kernel(chunk)
+        ndrange = NDRange(threads, min(64, threads))
+        time = device.time_for(kernel, ndrange, {})
+        samples.append((threads, noise.apply(time, "g-sweep", threads)))
 
     flat_threshold = max_threads / 4 * 3  # top quarter of the range
     flat_times = [t for thr, t in samples if thr >= flat_threshold]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -12,7 +11,6 @@ import numpy as np
 from repro.core.schedule.executor import HybridRunResult
 from repro.hpu.hpu import HPU
 from repro.obs.tracer import active as _obs_active
-from repro.parallel import get_engine
 from repro.util.rng import NO_NOISE, NoiseModel
 from repro.util.tables import format_table
 
@@ -123,8 +121,7 @@ def _tuner_for(
 # one process nearly free.  The serve daemon extends that across *jobs*
 # running in pool workers: snapshot_tuner_keys() + export_tuner_state()
 # ship a worker's fresh evaluations back to the daemon, which seeds
-# later jobs with seed_tuner_state() — the cross-job analogue of
-# _sweep_point_task's cross-worker cache flow.
+# later jobs with seed_tuner_state().
 
 def snapshot_tuner_keys() -> Dict[tuple, frozenset]:
     """The evaluation-cache keys currently memoized, per tuner."""
@@ -244,56 +241,6 @@ def sweep_best_operating_point(
     )
 
 
-def _sweep_point_task(payload):
-    """Worker-side task for one (platform, n) sweep point.
-
-    Module-level (hence picklable) so :class:`repro.parallel.SweepEngine`
-    can ship it to a pool worker.  The payload carries a seed of the
-    parent's tuner memo so adaptive search in the worker prunes exactly
-    like a warm serial run would (Fig. 10 re-sweeping Fig. 8's grids);
-    the worker sends back only the *new* cache entries plus the runs it
-    spent, and its pid so the parent can tell a real worker from an
-    in-process fallback execution.
-    """
-    (
-        hpu,
-        n,
-        alphas,
-        levels,
-        noise,
-        include_cpu_fallback,
-        adaptive,
-        workload,
-        cache_seed,
-        fallback_seed,
-    ) = payload
-    tuner = _tuner_for(hpu, n, noise, workload=workload)
-    if fallback_seed is not None and tuner._cpu_fallback is None:
-        tuner._cpu_fallback = fallback_seed
-    for key, value in cache_seed.items():
-        tuner._cache.setdefault(key, value)
-    known = frozenset(tuner._cache)
-    runs_before = tuner.executor_runs
-    best = sweep_best_operating_point(
-        hpu,
-        n,
-        alphas,
-        levels=levels,
-        noise=noise,
-        include_cpu_fallback=include_cpu_fallback,
-        adaptive=adaptive,
-        workload=workload,
-    )
-    fresh = {k: v for k, v in tuner._cache.items() if k not in known}
-    return (
-        best,
-        fresh,
-        tuner._cpu_fallback,
-        tuner.executor_runs - runs_before,
-        os.getpid(),
-    )
-
-
 def sweep_best_operating_points(
     points: Sequence[Tuple[HPU, int]],
     alphas: Sequence[float],
@@ -305,71 +252,23 @@ def sweep_best_operating_points(
 ) -> List[BestPoint]:
     """Batch form of :func:`sweep_best_operating_point` over many points.
 
-    Routes the independent (platform, n) grid searches through the
-    ambient :class:`repro.parallel.SweepEngine`.  With a serial engine
-    (``--jobs 1``, a worker process, or no engine configured) this is
-    exactly the legacy loop; with a parallel engine the points fan out
-    across processes and the results — values, tuner caches, tracer
-    segments, metrics — merge back in submission order, bit-identical
-    to the serial sequence (pinned by ``tests/parallel``).
-
-    Cross-worker cache flow: each payload is seeded with the parent's
-    memo for its (platform, n, noise) key, and each worker returns the
-    entries it added, which are folded back into the parent's
-    :data:`_TUNERS` — so a later serial or parallel sweep over the same
-    grids (Fig. 10 after Fig. 8) still hits the shared cache.
+    Evaluates the (platform, n) grid searches in order, one after
+    another, sharing the :data:`_TUNERS` memos — so a later sweep over
+    the same grids (Fig. 10 after Fig. 8) hits the cache.
     """
-    points = list(points)
-    engine = get_engine()
-    if not engine.parallel or len(points) <= 1:
-        return [
-            sweep_best_operating_point(
-                hpu,
-                n,
-                alphas,
-                levels=levels,
-                noise=noise,
-                include_cpu_fallback=include_cpu_fallback,
-                adaptive=adaptive,
-                workload=workload,
-            )
-            for hpu, n in points
-        ]
-    payloads = []
-    for hpu, n in points:
-        tuner = _TUNERS.get((hpu.name, workload, n, noise))
-        payloads.append(
-            (
-                hpu,
-                n,
-                tuple(float(a) for a in alphas),
-                levels,
-                noise,
-                include_cpu_fallback,
-                adaptive,
-                workload,
-                dict(tuner._cache) if tuner is not None else {},
-                tuner._cpu_fallback if tuner is not None else None,
-            )
+    return [
+        sweep_best_operating_point(
+            hpu,
+            n,
+            alphas,
+            levels=levels,
+            noise=noise,
+            include_cpu_fallback=include_cpu_fallback,
+            adaptive=adaptive,
+            workload=workload,
         )
-    outcomes = engine.map(
-        _sweep_point_task, payloads, label="operating-point sweep"
-    )
-    parent_pid = os.getpid()
-    bests: List[BestPoint] = []
-    for (hpu, n), (best, fresh, fallback, runs, pid) in zip(points, outcomes):
-        bests.append(best)
-        if pid == parent_pid:
-            # The engine fell back to running the task in-process, so
-            # the parent tuner was mutated directly — nothing to merge.
-            continue
-        tuner = _tuner_for(hpu, n, noise, workload=workload)
-        for key, value in fresh.items():
-            tuner._cache.setdefault(key, value)
-        if tuner._cpu_fallback is None:
-            tuner._cpu_fallback = fallback
-        tuner.executor_runs += runs
-    return bests
+        for hpu, n in points
+    ]
 
 
 def default_alpha_grid(fast: bool = False) -> np.ndarray:

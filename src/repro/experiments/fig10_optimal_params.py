@@ -26,8 +26,8 @@ def run(fast: bool = False) -> ExperimentResult:
     alphas = default_alpha_grid(fast)
     # below 2^12 the CPU-only fallback always wins
     sizes = [n for n in size_grid(fast) if n >= 1 << 12]
-    # Batched through the sweep engine; in a full-runner invocation the
-    # cross-worker cache merge makes these grids near-free after Fig. 8.
+    # In a full-runner invocation the shared tuner memos make these
+    # grids near-free after Fig. 8.
     bests = sweep_best_operating_points(
         [(HPU1, n) for n in sizes],
         alphas,

@@ -12,7 +12,6 @@ import numpy as np
 from repro.core.model import ClosedFormModel, ModelContext
 from repro.experiments.common import ExperimentResult
 from repro.hpu import HPU1
-from repro.parallel import get_engine
 
 N = 1 << 24
 
@@ -22,27 +21,15 @@ def model(n: int = N) -> ClosedFormModel:
     return ClosedFormModel(ctx)
 
 
-def _alpha_point_task(alpha: float):
-    """One closed-form grid point (module-level, hence picklable).
-
-    The model context holds a lambda and cannot cross a process
-    boundary, so each worker rebuilds it from the HPU1 constants —
-    pure arithmetic, identical on any host.
-    """
-    cf = model()
-    y = cf.solve_y(float(alpha))
-    share = cf.gpu_work(float(alpha)) / cf.total_work()
-    return [round(float(alpha), 3), round(y, 2), round(100 * share, 1)]
-
-
 def run(fast: bool = False) -> ExperimentResult:
     cf = model()
     grid = np.linspace(0.02, 0.35, 12 if fast else 34)
-    rows = get_engine().map(
-        _alpha_point_task,
-        [float(alpha) for alpha in grid],
-        label="fig3 closed-form grid",
-    )
+    rows = []
+    for alpha in grid:
+        alpha = float(alpha)
+        y = cf.solve_y(alpha)
+        share = cf.gpu_work(alpha) / cf.total_work()
+        rows.append([round(alpha, 3), round(y, 2), round(100 * share, 1)])
 
     fine = np.linspace(1e-3, 0.999, 4000)
     alpha_star = float(max(fine, key=cf.gpu_work))

@@ -14,20 +14,13 @@ from repro.algorithms.mergesort.hybrid import make_mergesort_workload
 from repro.core.schedule import AdvancedSchedule, ScheduleExecutor
 from repro.experiments.common import MEASUREMENT_NOISE, ExperimentResult
 from repro.hpu import HPU1
-from repro.parallel import get_engine
 
 N = 1 << 24
 LEVELS = range(7, 13)
 
 
-def _level_sweep_task(payload):
-    """One transfer level's α sweep (module-level, hence picklable).
-
-    Each worker rebuilds the workload and executor; every run is a
-    fresh DES with keyed measurement noise, so the speedups match the
-    shared-executor serial loop bit for bit.
-    """
-    level, alphas = payload
+def _level_speedups(level, alphas):
+    """One transfer level's α sweep on a fresh workload and executor."""
     workload = make_mergesort_workload(N)
     executor = ScheduleExecutor(HPU1, workload, noise=MEASUREMENT_NOISE)
     scheduler = AdvancedSchedule()
@@ -47,12 +40,7 @@ def run(fast: bool = False) -> ExperimentResult:
     alphas = [float(a) for a in np.round(
         np.arange(0.04, 0.36, 0.08 if fast else 0.02), 3
     )]
-    engine = get_engine()
-    per_level = engine.map(
-        _level_sweep_task,
-        [(int(level), tuple(alphas)) for level in LEVELS],
-        label="fig7 alpha sweep",
-    )
+    per_level = [_level_speedups(level, alphas) for level in LEVELS]
 
     rows = []
     best = (0.0, None, None)

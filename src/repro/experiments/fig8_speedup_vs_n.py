@@ -37,9 +37,7 @@ def run(fast: bool = False) -> ExperimentResult:
     alphas = default_alpha_grid(fast)
     sizes = size_grid(fast)
     platforms = sorted(PLATFORMS.items())
-    # One flat batch across both platforms: the sweep engine fans the
-    # (platform, n) points over worker processes when --jobs allows it,
-    # returning the same BestPoint sequence the serial loop produced.
+    # One flat batch across both platforms, in table order.
     bests = iter(
         sweep_best_operating_points(
             [(hpu, n) for _, hpu in platforms for n in sizes],

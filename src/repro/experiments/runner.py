@@ -32,43 +32,48 @@ plan and every recovery action are recorded in the run manifest.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.experiments import (
-    ext_future_work,
-    ext_matmul,
-    fig3_alpha_curves,
-    fig4_work_division,
-    fig5_estimate_g,
-    fig6_estimate_gamma,
-    fig7_alpha_speedups,
-    fig8_speedup_vs_n,
-    fig9_parallel_gpu,
-    fig10_optimal_params,
-    figw_workloads,
-    table1_platforms,
-    table2_parameters,
-)
 from repro.experiments.common import ExperimentResult
 
+#: Experiment id -> its module under ``repro.experiments``.  A module
+#: is imported on the experiment's first run, so a cold single-figure
+#: process loads only what that figure needs.
+_MODULES = {
+    "table1": "table1_platforms",
+    "table2": "table2_parameters",
+    "fig3": "fig3_alpha_curves",
+    "fig4": "fig4_work_division",
+    "fig5": "fig5_estimate_g",
+    "fig6": "fig6_estimate_gamma",
+    "fig7": "fig7_alpha_speedups",
+    "fig8": "fig8_speedup_vs_n",
+    "fig9": "fig9_parallel_gpu",
+    "fig10": "fig10_optimal_params",
+    "figw": "figw_workloads",
+    "ext1": "ext_future_work",
+    "ext2": "ext_matmul",
+}
+
+
+def _import_experiment(module: str):
+    return importlib.import_module(f"repro.experiments.{module}")
+
+
+def _experiment(module: str) -> Callable[[bool], ExperimentResult]:
+    def run(fast: bool = False) -> ExperimentResult:
+        return _import_experiment(module).run(fast)
+
+    return run
+
+
 EXPERIMENTS: Dict[str, Callable[[bool], ExperimentResult]] = {
-    "table1": table1_platforms.run,
-    "table2": table2_parameters.run,
-    "fig3": fig3_alpha_curves.run,
-    "fig4": fig4_work_division.run,
-    "fig5": fig5_estimate_g.run,
-    "fig6": fig6_estimate_gamma.run,
-    "fig7": fig7_alpha_speedups.run,
-    "fig8": fig8_speedup_vs_n.run,
-    "fig9": fig9_parallel_gpu.run,
-    "fig10": fig10_optimal_params.run,
-    "figw": figw_workloads.run,
-    "ext1": ext_future_work.run,
-    "ext2": ext_matmul.run,
+    key: _experiment(module) for key, module in _MODULES.items()
 }
 
 
@@ -89,8 +94,6 @@ class RunSpec:
     #: Experiment ids to run, or ``["sweep"]`` with :attr:`sweep` set.
     experiments: Sequence[str] = ()
     fast: bool = False
-    #: Sweep-engine worker processes ("auto", or an int; 1 = serial).
-    jobs: Union[int, str, None] = "auto"
     #: Event-queue backend (None = environment / default).
     queue_backend: Optional[str] = None
     #: Permit the whole-run macro fast path.
@@ -146,8 +149,6 @@ class RunOutcome:
     manifest_path: Optional[Path] = None
     report_path: Optional[Path] = None
     conformance: Optional[dict] = None
-    #: Sweep-engine fallback notes (SweepEngine.notes).
-    engine_notes: List[str] = field(default_factory=list)
     outputs: Dict[str, Optional[str]] = field(default_factory=dict)
     #: Tracer statistics for status lines (0 when untraced).
     trace_spans: int = 0
@@ -173,7 +174,6 @@ class RunOutcome:
                 str(self.report_path) if self.report_path else None
             ),
             "conformance": self.conformance or {},
-            "engine_notes": list(self.engine_notes),
             "results": {
                 key: {"title": res.title, "notes": list(res.notes)}
                 for key, res in self.results.items()
@@ -286,7 +286,6 @@ def _build_manifest(
     run_id: str,
     outputs: Dict[str, Optional[str]],
     session=None,
-    jobs: int = 1,
     conformance: Optional[dict] = None,
     analysis: Optional[dict] = None,
     queue_backend: str = "heap",
@@ -305,7 +304,6 @@ def _build_manifest(
     from repro.util.rng import DEFAULT_SEED
 
     return RunManifest(
-        jobs=jobs,
         host_cpus=os.cpu_count() or 1,
         run_id=run_id,
         created_unix=int(time.time()),
@@ -415,7 +413,7 @@ def run_request(
     The argv-free core of :func:`main` — what the ``repro.serve``
     daemon calls instead of shelling out.  Runs the selected
     experiments (or the custom sweep), with the same environment
-    handling, engine configuration, tracing, conformance checking and
+    handling, queue-backend selection, tracing, conformance checking and
     manifest/report emission as the CLI, but never prints: progress
     goes through ``on_result(key, result)`` (called as each experiment
     completes) and everything else comes back in the
@@ -463,11 +461,13 @@ def run_request(
                     "--workload retargets the figw experiment (or a "
                     "sweep); add figw to the selection"
                 )
-            runners["figw"] = figw_workloads.run_for(spec.workload)
+            runners["figw"] = _import_experiment(
+                _MODULES["figw"]
+            ).run_for(spec.workload)
 
     # -- event-core selection ------------------------------------------
-    # The resolved choice is exported so sweep worker processes inherit
-    # it, and recorded in the manifest; prior values are restored.
+    # The resolved choice is exported to the environment for the run,
+    # and recorded in the manifest; prior values are restored.
     saved_env = {
         name: os.environ.get(name) for name in (BACKEND_ENV, NO_MACRO_ENV)
     }
@@ -492,12 +492,6 @@ def run_request(
     if not spec.macro:
         os.environ[NO_MACRO_ENV] = "1"
     macro_enabled = not os.environ.get(NO_MACRO_ENV)
-
-    # -- parallel sweep engine -----------------------------------------
-    from repro.parallel import configure as _configure_engine
-    from repro.parallel import deconfigure as _deconfigure_engine
-
-    engine = _configure_engine(spec.jobs)
 
     # -- observability setup -------------------------------------------
     tracing_on = (
@@ -567,7 +561,6 @@ def run_request(
             from repro.obs import deactivate
 
             deactivate()
-        _deconfigure_engine()
         for name, value in saved_env.items():
             if value is None:
                 os.environ.pop(name, None)
@@ -622,7 +615,6 @@ def run_request(
         cache_key=key,
         request=canonical,
         conformance=conformance,
-        engine_notes=list(engine.notes),
         outputs=outputs,
         trace_spans=len(tracer.spans) if tracer is not None else 0,
         trace_runs=len(tracer.runs) if tracer is not None else 0,
@@ -643,7 +635,7 @@ def run_request(
             outputs["report"] = str(run_dir / "report.md")
         manifest = _build_manifest(
             spec, selected, results, tracer, run_id, outputs,
-            session=session, jobs=engine.jobs,
+            session=session,
             conformance=conformance, analysis=analysis,
             queue_backend=queue_backend, macro=macro_enabled,
             cache_key=key, request=canonical,
@@ -735,14 +727,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--fast", action="store_true", help="coarser sweeps, quicker run"
     )
-    parser.add_argument(
-        "--jobs",
-        default="auto",
-        metavar="N",
-        help="worker processes for the parallel sweep engine: a count, "
-        "or 'auto' for one per CPU (default); --jobs 1 is the exact "
-        "legacy serial path (see docs/PERFORMANCE.md, 'Parallel sweeps')",
-    )
+    # Accepted and ignored, so scripts that still pass a worker count
+    # keep working: sweeps always run serially in this process.
+    parser.add_argument("--jobs", metavar="N", help=argparse.SUPPRESS)
     parser.add_argument(
         "--plot",
         action="store_true",
@@ -905,16 +892,6 @@ def main(argv=None) -> int:
             f"available: {', '.join(EXPERIMENTS)}"
         )
 
-    jobs: Union[int, str] = args.jobs
-    if jobs != "auto":
-        try:
-            jobs = int(args.jobs)
-            if jobs < 1:
-                raise ValueError(jobs)
-        except ValueError:
-            parser.error(f"--jobs: expected a positive integer or 'auto', "
-                         f"got {args.jobs!r}")
-
     residual_band = None
     if args.check_model is not None:
         if args.check_model == "default":
@@ -933,7 +910,6 @@ def main(argv=None) -> int:
     spec = RunSpec(
         experiments=selected,
         fast=args.fast,
-        jobs=jobs,
         queue_backend=args.queue_backend,
         macro=not args.no_macro,
         trace_out=args.trace_out,
@@ -980,10 +956,6 @@ def main(argv=None) -> int:
     finally:
         if profiler is not None:
             profiler.disable()
-
-    for note in outcome.engine_notes:
-        # Fallback-to-serial diagnostics; stderr keeps --json parseable.
-        print(f"jobs: {note}", file=sys.stderr)
 
     if profiler is not None:
         import pstats

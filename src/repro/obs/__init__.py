@@ -22,94 +22,64 @@ Quick tour::
 See ``docs/OBSERVABILITY.md`` for the full walkthrough.
 """
 
-from repro.obs.analysis import (
-    Bubble,
-    CriticalStep,
-    DeviceUsage,
-    LevelUsage,
-    TraceAnalysis,
-    analyze,
-    longest_run,
-)
-from repro.obs.export import (
-    ascii_report,
-    chrome_trace,
-    metrics_json,
-    parse_prometheus_text,
-    prometheus_text,
-    write_chrome_trace,
-    write_metrics,
-)
-from repro.obs.index import append_entry, index_line, load_index
-from repro.obs.live import (
-    FlightRecorder,
-    TelemetrySampler,
-    sla_block,
-    stitch_chrome_trace,
-    write_stitched_trace,
-)
-from repro.obs.log import JsonLogger, read_log
-from repro.obs.manifest import RunManifest, platform_manifest
-from repro.obs.report import render_html, render_markdown, write_report
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    histogram_quantile,
-)
-from repro.obs.tracer import (
-    Instant,
-    RunRecord,
-    Span,
-    Tracer,
-    activate,
-    active,
-    deactivate,
-    tracing,
-)
+import importlib
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "Instant",
-    "RunRecord",
-    "active",
-    "activate",
-    "deactivate",
-    "tracing",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "histogram_quantile",
-    "chrome_trace",
-    "write_chrome_trace",
-    "metrics_json",
-    "write_metrics",
-    "prometheus_text",
-    "parse_prometheus_text",
-    "ascii_report",
-    "FlightRecorder",
-    "TelemetrySampler",
-    "sla_block",
-    "stitch_chrome_trace",
-    "write_stitched_trace",
-    "JsonLogger",
-    "read_log",
-    "RunManifest",
-    "platform_manifest",
-    "TraceAnalysis",
-    "DeviceUsage",
-    "LevelUsage",
-    "Bubble",
-    "CriticalStep",
-    "analyze",
-    "longest_run",
-    "append_entry",
-    "index_line",
-    "load_index",
-    "render_markdown",
-    "render_html",
-    "write_report",
-]
+# Public name -> defining submodule.  Resolved on first attribute access
+# (PEP 562), so the hot paths that import only the tracer and metrics
+# do not also load the exporters, trace analysis, live telemetry, logs
+# and reports.
+_EXPORTS = {
+    "Tracer": "tracer",
+    "Span": "tracer",
+    "Instant": "tracer",
+    "RunRecord": "tracer",
+    "active": "tracer",
+    "activate": "tracer",
+    "deactivate": "tracer",
+    "tracing": "tracer",
+    "MetricsRegistry": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "histogram_quantile": "metrics",
+    "chrome_trace": "export",
+    "write_chrome_trace": "export",
+    "metrics_json": "export",
+    "write_metrics": "export",
+    "prometheus_text": "export",
+    "parse_prometheus_text": "export",
+    "ascii_report": "export",
+    "FlightRecorder": "live",
+    "TelemetrySampler": "live",
+    "sla_block": "live",
+    "stitch_chrome_trace": "live",
+    "write_stitched_trace": "live",
+    "JsonLogger": "log",
+    "read_log": "log",
+    "RunManifest": "manifest",
+    "platform_manifest": "manifest",
+    "TraceAnalysis": "analysis",
+    "DeviceUsage": "analysis",
+    "LevelUsage": "analysis",
+    "Bubble": "analysis",
+    "CriticalStep": "analysis",
+    "analyze": "analysis",
+    "longest_run": "analysis",
+    "append_entry": "index",
+    "index_line": "index",
+    "load_index": "index",
+    "render_markdown": "report",
+    "render_html": "report",
+    "write_report": "report",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -35,9 +35,9 @@ from repro.obs.report import render_markdown, write_report
 
 #: Manifest keys that legitimately differ between two otherwise
 #: identical runs: identity, wall-clock, command line, artifact paths,
-#: the host fingerprint, and execution-resource knobs (``jobs`` — sweep
-#: results are bit-identical at any worker count).  Everything else is
-#: behaviour.
+#: the host fingerprint, and execution-resource knobs (``jobs``, the
+#: sweep worker count older manifests record — sweep results never
+#: depended on it).  Everything else is behaviour.
 VOLATILE_KEYS = frozenset(
     {
         "run_id",

@@ -19,11 +19,6 @@ multi-write that another process could interleave — taken under the
 advisory :func:`index_lock` the daemon shares, with an optional
 ``fsync`` (the ``REPRO_INDEX_FSYNC`` environment variable, or the
 ``fsync=`` argument) for callers that must survive power loss.
-
-Process-parallel sweeps stay deterministic by construction: workers
-never write manifests — the parent process writes exactly one manifest
-(hence one index line) per invocation after absorbing worker results,
-so ``--jobs N`` and ``--jobs 1`` append the same line.
 """
 
 from __future__ import annotations
@@ -71,7 +66,6 @@ def index_line(manifest, manifest_path: Union[str, Path]) -> dict:
         "created_unix": manifest.created_unix,
         "experiments": list(manifest.experiments),
         "fast": manifest.fast,
-        "jobs": manifest.jobs,
         "manifest": rel.as_posix(),
         "recovery_actions": len(manifest.recovery),
         "run_id": manifest.run_id,

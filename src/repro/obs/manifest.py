@@ -85,7 +85,8 @@ class RunManifest:
         default_factory=_platform.python_version
     )
     machine: str = field(default_factory=_platform.machine)
-    #: Resolved sweep-engine worker count (--jobs; 1 = serial path).
+    #: Sweep worker count recorded by older manifests; read for them,
+    #: never written (sweeps run serially, so new runs load as 1).
     jobs: int = 1
     #: Host cores visible to the run (``os.cpu_count()``).
     host_cpus: int = 1
@@ -145,7 +146,6 @@ class RunManifest:
             "repro_version": self.repro_version,
             "python_version": self.python_version,
             "machine": self.machine,
-            "jobs": self.jobs,
             "host_cpus": self.host_cpus,
             "results": self.results,
             "metrics_summary": self.metrics_summary,

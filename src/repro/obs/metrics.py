@@ -379,9 +379,10 @@ class MetricsRegistry:
     def merge_dict(self, snapshot: dict) -> None:
         """Merge a :meth:`to_dict` snapshot into this registry.
 
-        Used by :mod:`repro.parallel` to fold worker-process registries
-        back into the parent: counters and gauges add point-wise,
-        histograms merge count/sum/min/max and bucket counts.  Metric
+        Used by :meth:`repro.obs.tracer.Tracer.absorb` to fold another
+        process's registry into this one: counters and gauges add
+        point-wise, histograms merge count/sum/min/max and bucket
+        counts.  Metric
         families are created here on demand, so merging into an empty
         registry reproduces the snapshot exactly.
         """

@@ -37,10 +37,10 @@ as consecutive segments, each wrapped in a run-level span carrying the
 operating point that produced it (see
 :meth:`~repro.core.autotune.AutoTuner.evaluate`).
 
-Parallel sweeps (:mod:`repro.parallel`) produce one tracer per worker
-process; :meth:`absorb` re-bases a worker's snapshot onto this tracer's
-timeline so a fanned-out sweep still exports one coherent trace (see
-``docs/OBSERVABILITY.md``).
+:meth:`snapshot` turns a tracer into plain picklable data and
+:meth:`absorb` re-bases such a snapshot onto another tracer's timeline;
+the serve daemon's trace stitcher absorbs each job's snapshot this way
+(see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from repro.obs.metrics import MetricsRegistry
 #: dict or None).  Start/end are **run-relative** sim times when the run
 #: index is set, and absolute timeline positions when it is ``None`` —
 #: the run's offset is added only at materialization/export time, which
-#: is what lets :meth:`Tracer.absorb` relocate worker rows onto the
-#: parent timeline bit-exactly.  A *team row* (from
+#: is what lets :meth:`Tracer.absorb` relocate another tracer's rows
+#: onto this timeline bit-exactly.  A *team row* (from
 #: :meth:`Tracer.span_many`) packs a whole worker group into one row by
 #: carrying a ``tuple`` of starts in the start slot; lazy
 #: materialization and the exporters expand it back into one span per
@@ -446,14 +446,14 @@ class Tracer:
         )
 
     # ------------------------------------------------------------------
-    # snapshots and merging (process-parallel sweeps)
+    # snapshots and merging (cross-process trace stitching)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Portable form of everything recorded so far.
 
         The snapshot is plain picklable data (rows, run tuples, metric
-        dict) — what a :mod:`repro.parallel` worker ships back to the
-        parent process for :meth:`absorb`.
+        dict) — what a serve worker ships back to the daemon for
+        :meth:`absorb`.
         """
         if self._run is not None:  # defensive: close a dangling run
             self.end_run()
@@ -469,17 +469,17 @@ class Tracer:
         }
 
     def absorb(self, snapshot: dict) -> None:
-        """Merge a worker tracer's :meth:`snapshot` onto this timeline.
+        """Merge another tracer's :meth:`snapshot` onto this timeline.
 
-        The worker's runs are laid out here by replaying the same cursor
-        recurrence the serial path uses (``offset = cursor; cursor =
-        offset + duration`` per run), its run indices are shifted past
-        the runs already recorded here, and its metrics merge into this
-        registry point-by-point by label.  Run-relative span/instant
-        rows travel untouched (only their run index shifts), so a
-        parallel sweep absorbed in task-submission order is laid out
-        **bit-identically** to the serial one; rows recorded outside any
-        run shift by this tracer's cursor.
+        The snapshot's runs are laid out here by replaying the cursor
+        recurrence :meth:`begin_run`/:meth:`end_run` use (``offset =
+        cursor; cursor = offset + duration`` per run), its run indices
+        are shifted past the runs already recorded here, and its
+        metrics merge into this registry point-by-point by label.  Run-relative span/instant
+        rows travel untouched (only their run index shifts), so
+        absorbing into an empty tracer reproduces the source's layout
+        **bit-identically**; rows recorded outside any run shift by
+        this tracer's cursor.
         """
         if self._run is not None:
             raise ValueError("cannot absorb a snapshot while a run is open")

@@ -77,7 +77,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         results_dir=args.results_dir,
         concurrency=args.concurrency,
         executor=args.executor,
-        jobs_per_run=args.jobs,
         telemetry_interval=args.telemetry_interval,
         telemetry_capacity=args.telemetry_capacity,
         trace_jobs=args.trace_jobs,
@@ -299,11 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("process", "thread"),
         default="process",
         help="job executor (thread forces concurrency 1)",
-    )
-    p.add_argument(
-        "--jobs",
-        default="1",
-        help="sweep-engine worker count inside each job (default: 1)",
     )
     p.add_argument(
         "--metrics-out",
@@ -537,12 +531,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.experiments.runner import EXPERIMENTS
 
         args.experiments = list(EXPERIMENTS)
-    if args.command == "serve":
-        try:
-            args.jobs = int(args.jobs)
-        except ValueError:
-            if args.jobs != "auto":
-                parser.error("--jobs must be an integer or 'auto'")
     try:
         return args.func(args)
     except (ServeError, ProtocolError) as exc:

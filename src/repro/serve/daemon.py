@@ -13,7 +13,7 @@
     clients connect.
 3.  Each running job is one ``loop.run_in_executor`` call of
     :func:`repro.serve.worker.execute_job` — a process-pool worker by
-    default, so ambient tracer/engine state stays per-job.  Job-level
+    default, so ambient tracer/resilience state stays per-job.  Job-level
     retry/timeout policies ride on the resilience layer's own
     dataclasses: ``RetryPolicy.delay()`` drives wall-clock backoff
     between attempts, and ``timeout_s`` (validated through
@@ -91,7 +91,6 @@ class JobDaemon:
         results_dir: Union[str, Path] = Path("results"),
         concurrency: int = 2,
         executor: str = "process",
-        jobs_per_run: Union[int, str] = 1,
         metrics: Optional[MetricsRegistry] = None,
         telemetry_interval: Optional[float] = None,
         telemetry_capacity: int = 256,
@@ -108,8 +107,6 @@ class JobDaemon:
         self.results_dir = Path(results_dir)
         self.concurrency = concurrency
         self.executor_kind = executor
-        #: Sweep-engine width inside each job (``RunSpec.jobs``).
-        self.jobs_per_run = jobs_per_run
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = ResultCache(self.results_dir)
         #: Operational notes (executor fallbacks), newest last.
@@ -193,7 +190,7 @@ class JobDaemon:
                     f"to a single-threaded executor"
                 )
                 self.executor_kind = "thread"
-        # Ambient tracer/engine/resilience state is process-global, so
+        # Ambient tracer/resilience state is process-global, so
         # the thread fallback must never run two jobs at once.
         self.concurrency = 1
         self._semaphore = asyncio.Semaphore(1)
@@ -615,7 +612,6 @@ class JobDaemon:
                 job.request,
                 results_dir=str(self.results_dir),
                 run_id=f"{time.strftime('%Y%m%d-%H%M%S')}-{job.job_id}",
-                jobs=self.jobs_per_run,
                 correlation_id=job.job_id,
                 collect_trace=self.trace_jobs,
                 log_json=str(self.log_json) if self.log_json else None,

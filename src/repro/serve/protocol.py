@@ -12,8 +12,7 @@ A job request is one JSON object.  Two kinds exist:
 ``sweep``
     A custom operating-point grid search: one platform preset, a list
     of input sizes, an α grid and optional transfer levels, routed
-    through :func:`repro.experiments.common.sweep_best_operating_points`
-    (and with it the ambient :mod:`repro.parallel` engine).
+    through :func:`repro.experiments.common.sweep_best_operating_points`.
 
 Every accepted request **canonicalizes** to a flat, key-sorted dict of
 resolved values — defaults filled in, grids normalized — which is what
@@ -448,10 +447,9 @@ def canonical_request(
     family, α/level grids, queue backend and macro flag, the
     observability profile (``traced``/``check_model``/``report`` change
     manifest contents even though simulated numbers are bit-identical),
-    and the library version.  Excluded on purpose: ``--jobs`` (sweeps
-    are bit-identical at any worker count), priority and job policies
-    (they change *when* a job runs, never what it produces), and
-    anything volatile (run id, argv, host).
+    and the library version.  Excluded on purpose: priority and job
+    policies (they change *when* a job runs, never what it produces),
+    and anything volatile (run id, argv, host).
 
     ``resilient`` marks runs executed under an active fault-injection /
     recovery session; they are behaviourally distinct and never cache.

@@ -2,7 +2,7 @@
 
 The daemon never simulates in its own event loop: each job becomes one
 :func:`execute_job` call on an executor — a process-pool worker by
-default (clean ambient tracer/engine/resilience state per job, true
+default (clean ambient tracer/resilience state per job, true
 concurrency) or the single-threaded fallback executor.  Everything
 crossing the boundary is picklable: the payload is a plain dict around
 a :class:`~repro.experiments.runner.RunSpec`, and the result is the
@@ -24,7 +24,6 @@ def build_spec(
     request,
     results_dir: str,
     run_id: Optional[str] = None,
-    jobs="auto",
     correlation_id: Optional[str] = None,
     collect_trace: bool = False,
     log_json: Optional[str] = None,
@@ -32,10 +31,7 @@ def build_spec(
     """The RunSpec executing one validated request.
 
     Built from the *validated* request (grids, flags) with the
-    daemon-chosen run id and results tree.  ``jobs`` is the daemon's
-    per-job sweep-engine width — an operational knob, deliberately not
-    part of the request (results are bit-identical at any width).
-    ``correlation_id`` / ``collect_trace`` / ``log_json`` are the live
+    daemon-chosen run id and results tree.  ``correlation_id`` / ``collect_trace`` / ``log_json`` are the live
     telemetry knobs: the job id threaded into the runner's tracer and
     log events, whether to ship the engine trace back for stitching,
     and the shared JSON-lines log path.  None of them enters the
@@ -67,7 +63,6 @@ def build_spec(
     return RunSpec(
         experiments=experiments,
         fast=request.fast,
-        jobs=jobs,
         queue_backend=request.queue_backend,
         macro=request.macro,
         check_model=request.check_model,

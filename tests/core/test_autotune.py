@@ -111,6 +111,40 @@ class TestEvaluationCache:
         assert t.executor_runs == 7
 
 
+class TestPrefetch:
+    def test_fills_missing_points_in_level_major_order(self):
+        t = tuner(1 << 14)
+        t.evaluate(0.3, 10)
+        count = t.prefetch(alphas=[0.2, 0.3, 2.0], levels=[10, 12])
+        assert count == 5  # the cached (0.3, 10) is skipped
+        assert list(t._cache) == [
+            (0.3, 10), (0.2, 10), (2.0, 10), (0.2, 12), (0.3, 12), (2.0, 12)
+        ]
+        # The inadmissible alpha is memoized, not raised, and spends no
+        # run: one run for the first evaluate, three for the prefetch.
+        assert isinstance(t._cache[(2.0, 12)], ScheduleError)
+        assert t.executor_runs == 4
+
+    def test_later_tune_runs_on_cache_hits(self):
+        t = tuner(1 << 14)
+        assert t.prefetch(alphas=[0.2, 0.3], levels=[10, 12]) == 4
+        tuned = t.tune(
+            alphas=[0.2, 0.3], levels=[10, 12], include_cpu_fallback=False
+        )
+        assert tuned.evaluations == 0
+        fresh = tuner(1 << 14).tune(
+            alphas=[0.2, 0.3], levels=[10, 12], include_cpu_fallback=False
+        )
+        assert (tuned.alpha, tuned.transfer_level, tuned.speedup) == (
+            fresh.alpha, fresh.transfer_level, fresh.speedup
+        )
+
+    def test_warm_grid_prefetches_nothing(self):
+        t = tuner(1 << 14)
+        t.prefetch(alphas=[0.2], levels=[10])
+        assert t.prefetch(alphas=[0.2, 0.2], levels=[10]) == 0
+
+
 class TestAdaptiveTune:
     def test_small_grid_falls_back_to_full_tune(self):
         t = tuner(1 << 14)

@@ -42,6 +42,16 @@ class TestRunnerCLI:
         assert payload["rows"]
         assert payload["paper_expectation"]
 
+    def test_legacy_jobs_flag_is_accepted_and_ignored(self, capsys):
+        """Scripts written for the removed process-pool engine still
+        pass a worker count; the run is the same serial run."""
+        assert main(["--fast", "--json", "fig3"]) == 0
+        serial = capsys.readouterr()
+        assert main(["--fast", "--json", "--jobs", "2", "fig3"]) == 0
+        legacy = capsys.readouterr()
+        assert legacy.out == serial.out
+        assert legacy.err == ""
+
     def test_plot_output(self, capsys):
         assert main(["--fast", "--plot", "fig6"]) == 0
         out = capsys.readouterr().out

@@ -124,6 +124,28 @@ class TestSchemaVersion:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestLegacyJobsField:
+    """Manifests from before serial-only sweeps record a ``jobs`` width;
+    new ones omit it, and loading either stays possible."""
+
+    def test_older_manifest_jobs_loads(self):
+        data = make_manifest().to_dict()
+        assert "jobs" not in data
+        data["jobs"] = 2
+        data["host_cpus"] = 8
+        back = RunManifest.from_dict(data)
+        assert back.jobs == 2
+        assert back.host_cpus == 8
+        assert "jobs" not in back.to_dict()
+
+    def test_legacy_manifests_default_serial(self):
+        data = make_manifest().to_dict()
+        del data["host_cpus"]
+        back = RunManifest.from_dict(data)
+        assert back.jobs == 1
+        assert back.host_cpus == 1
+
+
 class TestRunnerIntegration:
     def test_trace_metrics_manifest_flow(self, tmp_path, capsys):
         # table1 is the cheapest experiment that still builds platforms.

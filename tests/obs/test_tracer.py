@@ -121,3 +121,34 @@ class TestActivation:
         with tracing() as tr:
             assert active() is tr
         assert active() is None
+
+
+class TestAbsorb:
+    """``absorb`` is how the serve daemon stitches each job's trace;
+    absorbing into an empty tracer must reproduce the source exactly."""
+
+    def test_absorbed_snapshot_exports_identically(self):
+        from repro.experiments import common
+        from repro.hpu import HPU1, HPU2
+        from repro.obs.export import chrome_trace, metrics_json
+
+        common._TUNERS.clear()
+        source = Tracer(name="job")
+        try:
+            with tracing(source):
+                common.sweep_best_operating_points(
+                    [(HPU1, 1 << 10), (HPU2, 1 << 10)],
+                    alphas=(0.1, 0.2),
+                    levels=(8, 9),
+                )
+        finally:
+            common._TUNERS.clear()
+        assert source.runs  # the sweep really recorded something
+
+        merged = Tracer(name="job")
+        merged.absorb(source.snapshot())
+        assert (
+            chrome_trace(merged)["traceEvents"]
+            == chrome_trace(source)["traceEvents"]
+        )
+        assert metrics_json(merged) == metrics_json(source)

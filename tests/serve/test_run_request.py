@@ -31,7 +31,6 @@ def tiny_spec(results_dir, **overrides):
     spec = dict(
         experiments=(),
         fast=True,
-        jobs=1,
         manifest=True,
         results_dir=Path(results_dir),
         sweep=dict(TINY_SWEEP),

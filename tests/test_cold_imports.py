@@ -3,8 +3,10 @@
 A cold ``repro-experiments <id> --fast`` process is mostly import time,
 so the modules it loads are part of its cost.  ``scipy.optimize`` takes
 about 0.4 s to import and the serve daemon stack with asyncio about
-40 ms, and a figure run needs neither.  A stray top-level import would
-add that cost back silently, so this test fails instead.
+40 ms, and a figure run needs neither.  Sweeps run serially, so a
+figure run needs no process pool either, and an untraced run needs
+none of the trace exporters or the live telemetry.  A stray top-level
+import would add that cost back silently, so this test fails instead.
 """
 
 import json
@@ -23,7 +25,16 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
-HEAVY = ("scipy", "repro.serve.daemon", "asyncio")
+HEAVY = (
+    "scipy",
+    "repro.serve.daemon",
+    "asyncio",
+    "multiprocessing",
+    "concurrent.futures",
+    "repro.parallel",
+    "repro.obs.export",
+    "repro.obs.live",
+)
 
 
 def test_cli_run_leaves_heavy_modules_unimported(tmp_path):

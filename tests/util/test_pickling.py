@@ -1,9 +1,10 @@
-"""Everything that crosses the worker boundary must pickle faithfully.
+"""Value types that cross process boundaries must pickle faithfully.
 
-The sweep engine ships ``(fn, item, traced)`` payloads to pool workers
-and receives ``(result, snapshot)`` tuples back; these tests pin the
-round-trip for each object class involved so a future unpicklable field
-fails here rather than as a silent serial fallback in a long sweep.
+The serve daemon runs each job in a process-pool worker and ships the
+worker's fresh tuner memos back (``export_tuner_state``): keys carry a
+:class:`~repro.util.rng.NoiseModel`, values carry run results.  These
+tests pin the round-trip per object class so a future unpicklable or
+unhashable field fails here rather than deep inside a served job.
 """
 
 import pickle
@@ -11,7 +12,6 @@ import pickle
 from repro.algorithms.mergesort.hybrid import make_mergesort_workload
 from repro.experiments.common import (
     MEASUREMENT_NOISE,
-    _sweep_point_task,
     sweep_best_operating_point,
 )
 from repro.hpu import HPU1, HPU2
@@ -60,25 +60,6 @@ class TestWorkloadPickling:
 
 
 class TestSweepPayloadPickling:
-    def test_task_function_is_picklable(self):
-        assert _roundtrip(_sweep_point_task) is _sweep_point_task
-
-    def test_payload_tuple_round_trips(self):
-        payload = (
-            HPU1,
-            1 << 10,
-            (0.1, 0.2),
-            (8, 9),
-            NO_NOISE,
-            True,
-            False,
-            {},
-            None,
-        )
-        clone = _roundtrip(payload)
-        assert clone[0].name == "HPU1"
-        assert clone[1:] == payload[1:]
-
     def test_best_point_result_round_trips(self):
         best = sweep_best_operating_point(
             HPU1, 1 << 10, alphas=(0.1, 0.2), levels=(8, 9)

@@ -2,23 +2,21 @@
 
 Every registered workload must run bit-identically across the
 independent execution paths the stack provides: the macro fast path
-vs the discrete-event core, traced vs untraced execution, the serial
-vs multi-process sweep engine, and the heap vs array event-queue
-backend.  Mergesort earned each of these equivalences one PR at a
-time; the registry's promise is that a new entry inherits all of them
-for free, so the whole matrix runs per workload id.
+vs the discrete-event core, traced vs untraced execution, and the heap
+vs array event-queue backend.  Mergesort earned each of these
+equivalences one at a time; the registry's promise is that a new entry
+inherits all of them for free, so the whole matrix runs per workload
+id.
 """
 
 import pytest
 
 from repro.core.schedule import AdvancedSchedule, BasicSchedule, ScheduleExecutor
 from repro.core.schedule import macro as macro_module
-from repro.experiments import common
 from repro.hpu import HPU1
 from repro.obs.tracer import Tracer, deactivate, tracing
-from repro.parallel import configure, deconfigure
 from repro.sim.events import BACKEND_ENV
-from repro.util.rng import NO_NOISE, NoiseModel
+from repro.util.rng import NoiseModel
 from repro.workloads import get, workload_ids
 
 WORKLOADS = sorted(workload_ids())
@@ -28,10 +26,8 @@ pytestmark = pytest.mark.parametrize("workload_id", WORKLOADS)
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    common._TUNERS.clear()
     deactivate()
     yield
-    common._TUNERS.clear()
     deactivate()
 
 
@@ -91,30 +87,6 @@ class TestTracedVsUntraced:
         with tracing(Tracer()):
             traced = ScheduleExecutor(HPU1, workload).run_basic(plan)
         assert traced == untraced
-
-
-class TestSerialVsParallelSweep:
-    def test_jobs_1_vs_2_identical_best_points(self, workload_id):
-        entry = get(workload_id)
-        n = _small_n(entry)
-        points = [(HPU1, n)]
-        alphas = (0.1, 0.2)
-
-        serial = common.sweep_best_operating_points(
-            points, alphas, noise=NO_NOISE, workload=workload_id
-        )
-        common._TUNERS.clear()
-        configure(jobs=2)
-        try:
-            parallel = common.sweep_best_operating_points(
-                points, alphas, noise=NO_NOISE, workload=workload_id
-            )
-        finally:
-            deconfigure()
-        assert len(serial) == len(parallel) == 1
-        s, p = serial[0], parallel[0]
-        assert (s.alpha, s.transfer_level) == (p.alpha, p.transfer_level)
-        assert s.result == p.result  # full HybridRunResult equality
 
 
 class TestQueueBackends:
