@@ -1,23 +1,20 @@
-"""EventQueue microbenchmark: per-backend push/pop throughput.
+"""EventQueue microbenchmark: push/pop throughput of the heap queue.
 
-Drives each registered backend (``repro.sim.events.QUEUE_BACKENDS``)
-through three synthetic workloads and reports events/second for each:
+Drives :class:`repro.sim.events.EventQueue` through three synthetic
+workloads and reports events/second for each:
 
 - ``push_pop``: push ``n`` randomly-timed events, then drain — the
-  bulk-load shape (the array backend's bisect-insert worst case);
+  bulk-load shape;
 - ``mixed``: interleaved pushes and pops against a small resident
   queue — the DES steady state, where the engine holds a handful of
   in-flight timeouts and alternates scheduling with draining;
 - ``burst``: long runs of identical timestamps drained with
   ``pop_batch`` — the FIFO tie-break stress (simultaneous worker
-  finishes).  Stamps are pushed in ascending order, the array
-  backend's worst case (every insert lands at the far end), so this
-  scenario bounds its bulk-load downside while ``mixed`` shows the
-  steady-state upside.
+  finishes).
 
-Timestamps come from the library's seeded RNG, so every backend sees
-the same sequence and runs are repeatable.  Used by ``run_perf.py`` to
-fold ``queue_<backend>_<scenario>_events_per_s`` entries into
+Timestamps come from the library's seeded RNG, so runs are
+repeatable.  Used by ``run_perf.py`` to fold
+``queue_heap_<scenario>_events_per_s`` entries into
 ``BENCH_perf.json``; runnable standalone::
 
     PYTHONPATH=src python benchmarks/perf/bench_queue.py
@@ -99,29 +96,27 @@ SCENARIOS = {
 }
 
 
-def bench_queue_backends(events: int = 50_000) -> dict:
-    """Per-backend, per-scenario throughput, ``events``/scenario.
+def bench_queue(events: int = 50_000) -> dict:
+    """Per-scenario throughput, ``events``/scenario.
 
-    Returns flat ``queue_<backend>_<scenario>_events_per_s`` keys so the
-    figures land alongside the other benchmarks in ``BENCH_perf.json``.
+    Returns flat ``queue_heap_<scenario>_events_per_s`` keys (the names
+    the perf trajectory has always used) so the figures land alongside
+    the other benchmarks in ``BENCH_perf.json``.
     """
-    from repro.sim.events import QUEUE_BACKENDS, make_event_queue
+    from repro.sim.events import EventQueue
 
     times = _random_times(events, distinct=events // 8, salt="times")
     results = {}
-    for backend in sorted(QUEUE_BACKENDS):
-        for name, scenario in SCENARIOS.items():
-            queue = make_event_queue(backend)
-            start = time.perf_counter()
-            ops = scenario(queue, times)
-            elapsed = time.perf_counter() - start
-            results[f"queue_{backend}_{name}_events_per_s"] = round(
-                ops / elapsed
-            )
+    for name, scenario in SCENARIOS.items():
+        queue = EventQueue()
+        start = time.perf_counter()
+        ops = scenario(queue, times)
+        elapsed = time.perf_counter() - start
+        results[f"queue_heap_{name}_events_per_s"] = round(ops / elapsed)
     return results
 
 
 if __name__ == "__main__":
     import json
 
-    print(json.dumps(bench_queue_backends(), indent=2))
+    print(json.dumps(bench_queue(), indent=2))

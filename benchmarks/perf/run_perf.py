@@ -9,11 +9,10 @@ Times four levels of the stack and records them, plus the improvement
 factor over the recorded seed baseline, in ``BENCH_perf.json`` at the
 repo root so successive PRs can track the perf trajectory:
 
-- ``engine_events_per_s``: raw DES event throughput (timeout chains),
-  on the process-default queue backend;
-- ``queue_<backend>_<scenario>_events_per_s``: the EventQueue
+- ``engine_events_per_s``: raw DES event throughput (timeout chains);
+- ``queue_heap_<scenario>_events_per_s``: the EventQueue
   microbenchmark (``bench_queue.py``) — push/pop, mixed steady-state
-  and same-timestamp-burst throughput for every registered backend;
+  and same-timestamp-burst throughput;
 - ``executor_advanced_fast_ms`` / ``executor_advanced_reference_ms``:
   one advanced-schedule run (n = 2^20, HPU1) on the macro-task fast
   path vs the process-per-worker reference path — the harness asserts
@@ -353,11 +352,11 @@ def main(argv=None) -> int:
 
     import os
 
-    from bench_queue import bench_queue_backends
+    from bench_queue import bench_queue
 
     engine_rate = round(bench_engine_events())
     results = {"engine_events_per_s": engine_rate}
-    results.update(bench_queue_backends())
+    results.update(bench_queue())
     results.update(bench_executor())
     results.update(bench_autotune())
     fig8_s = bench_fig8_fast()

@@ -116,9 +116,7 @@ class ScheduleExecutor:
     ``macro`` controls the whole-run closed-form fast path (see
     :mod:`repro.core.schedule.macro`): ``None`` (the default) takes it
     whenever the run is eligible — bit-identical to the DES by
-    construction — and ``False`` forces every run through the DES
-    (the ``REPRO_NO_MACRO=1`` environment variable does the same
-    process-wide).
+    construction — and ``False`` forces every run through the DES.
     """
 
     def __init__(

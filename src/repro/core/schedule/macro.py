@@ -29,16 +29,15 @@ and completion-group semantics, including its same-timestamp tie-break
 order, with a conservative bail back to the DES in the one case the
 tie-break cannot be reproduced cheaply (the tail starting at exactly
 the timestamp of another pending pool event).  Anything traced,
-guarded, hooked, or slow-path always takes the DES.  The env
-kill-switch ``REPRO_NO_MACRO=1`` forces the DES everywhere (for
-debugging); ``ScheduleExecutor(macro=False)`` does so per executor.
+guarded, hooked, or slow-path always takes the DES, and
+``ScheduleExecutor(macro=False)`` forces it per executor (the DES
+oracle the tests compare against).
 The differential suite (``tests/core/schedule/test_macro_path.py``)
 pins DES-vs-macro bit-identity across the fig8 operating grid.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from heapq import heappop, heappush
 from typing import Optional
@@ -56,10 +55,6 @@ from repro.sim.trace import (
 )
 from repro.util.intmath import ceil_div
 
-#: Set (to any non-empty value) to disable the macro path process-wide.
-NO_MACRO_ENV = "REPRO_NO_MACRO"
-
-
 def macro_enabled(executor) -> bool:
     """Whether ``executor``'s next run may skip the DES entirely.
 
@@ -76,7 +71,6 @@ def macro_enabled(executor) -> bool:
         and executor.workload.execute is None
         and _obs_active() is None
         and _resilience_active() is None
-        and not os.environ.get(NO_MACRO_ENV)
     )
 
 

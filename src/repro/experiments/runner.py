@@ -94,10 +94,6 @@ class RunSpec:
     #: Experiment ids to run, or ``["sweep"]`` with :attr:`sweep` set.
     experiments: Sequence[str] = ()
     fast: bool = False
-    #: Event-queue backend (None = environment / default).
-    queue_backend: Optional[str] = None
-    #: Permit the whole-run macro fast path.
-    macro: bool = True
     #: Activate the tracer even without file outputs.
     trace: bool = False
     trace_out: Optional[Path] = None
@@ -288,8 +284,6 @@ def _build_manifest(
     session=None,
     conformance: Optional[dict] = None,
     analysis: Optional[dict] = None,
-    queue_backend: str = "heap",
-    macro: bool = True,
     cache_key: str = "",
     request: Optional[dict] = None,
     workload: str = "mergesort",
@@ -336,8 +330,6 @@ def _build_manifest(
         ),
         conformance=conformance or {},
         analysis=analysis or {},
-        queue_backend=queue_backend,
-        macro=macro,
         cache_key=cache_key,
         request=request or {},
         workload=workload,
@@ -380,8 +372,6 @@ def _canonical_for_spec(
             ),
             noise_amplitude=sweep.get("noise_amplitude"),
             seed=sweep.get("seed"),
-            queue_backend=spec.queue_backend,
-            macro=spec.macro,
             check_model=spec.check_model,
             report=spec.report,
             workload=sweep.get("workload") or spec.workload,
@@ -391,8 +381,6 @@ def _canonical_for_spec(
             kind="figure",
             experiments=tuple(selected),
             fast=spec.fast,
-            queue_backend=spec.queue_backend,
-            macro=spec.macro,
             check_model=spec.check_model,
             report=spec.report,
             workload=spec.workload,
@@ -412,21 +400,16 @@ def run_request(
 
     The argv-free core of :func:`main` — what the ``repro.serve``
     daemon calls instead of shelling out.  Runs the selected
-    experiments (or the custom sweep), with the same environment
-    handling, queue-backend selection, tracing, conformance checking and
-    manifest/report emission as the CLI, but never prints: progress
+    experiments (or the custom sweep), with the same tracing,
+    conformance checking and manifest/report emission as the CLI, but
+    never prints: progress
     goes through ``on_result(key, result)`` (called as each experiment
     completes) and everything else comes back in the
     :class:`RunOutcome`.
 
-    Raises ``ValueError`` for an invalid spec (unknown experiment ids,
-    bad queue backend, a sweep spec without platform/n).
+    Raises ``ValueError`` for an invalid spec (unknown experiment ids
+    or workload, a sweep spec without platform/n).
     """
-    import os
-
-    from repro.core.schedule.macro import NO_MACRO_ENV
-    from repro.sim.events import BACKEND_ENV, QUEUE_BACKENDS, default_backend
-
     if spec.workload is not None:
         from repro.workloads import WorkloadError, get as _get_workload
 
@@ -464,34 +447,6 @@ def run_request(
             runners["figw"] = _import_experiment(
                 _MODULES["figw"]
             ).run_for(spec.workload)
-
-    # -- event-core selection ------------------------------------------
-    # The resolved choice is exported to the environment for the run,
-    # and recorded in the manifest; prior values are restored.
-    saved_env = {
-        name: os.environ.get(name) for name in (BACKEND_ENV, NO_MACRO_ENV)
-    }
-    if spec.queue_backend is not None:
-        if spec.queue_backend not in QUEUE_BACKENDS:
-            raise ValueError(
-                f"unknown queue backend {spec.queue_backend!r}; "
-                f"available: {', '.join(sorted(QUEUE_BACKENDS))}"
-            )
-        os.environ[BACKEND_ENV] = spec.queue_backend
-    queue_backend = default_backend()
-    if queue_backend not in QUEUE_BACKENDS:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        raise ValueError(
-            f"{BACKEND_ENV}={queue_backend!r} is not a known queue "
-            f"backend; available: {', '.join(sorted(QUEUE_BACKENDS))}"
-        )
-    if not spec.macro:
-        os.environ[NO_MACRO_ENV] = "1"
-    macro_enabled = not os.environ.get(NO_MACRO_ENV)
 
     # -- observability setup -------------------------------------------
     tracing_on = (
@@ -561,11 +516,6 @@ def run_request(
             from repro.obs import deactivate
 
             deactivate()
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
     # -- observability artifacts ---------------------------------------
     outputs: Dict[str, Optional[str]] = {}
@@ -637,7 +587,6 @@ def run_request(
             spec, selected, results, tracer, run_id, outputs,
             session=session,
             conformance=conformance, analysis=analysis,
-            queue_backend=queue_backend, macro=macro_enabled,
             cache_key=key, request=canonical,
             workload=(
                 spec.workload
@@ -838,26 +787,6 @@ def main(argv=None) -> int:
         help="raise device errors instead of re-planning a lost GPU's "
         "remaining work onto the CPU",
     )
-    from repro.sim.events import QUEUE_BACKENDS
-
-    parser.add_argument(
-        "--queue-backend",
-        choices=sorted(QUEUE_BACKENDS),
-        default=None,
-        metavar="NAME",
-        help="event-queue backend for the simulator cores "
-        f"({', '.join(sorted(QUEUE_BACKENDS))}); default: the "
-        "REPRO_QUEUE_BACKEND environment variable, else 'heap'. All "
-        "backends drain bit-identically; see docs/PERFORMANCE.md, "
-        "'Event-core backends'",
-    )
-    parser.add_argument(
-        "--no-macro",
-        action="store_true",
-        help="disable the whole-run macro fast path and force every "
-        "simulation through the discrete-event core (equivalent to "
-        "REPRO_NO_MACRO=1; results are bit-identical either way)",
-    )
     parser.add_argument(
         "--workload",
         default=None,
@@ -910,8 +839,6 @@ def main(argv=None) -> int:
     spec = RunSpec(
         experiments=selected,
         fast=args.fast,
-        queue_backend=args.queue_backend,
-        macro=not args.no_macro,
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
         trace_ascii=args.trace_ascii,

@@ -29,7 +29,9 @@ MANIFEST_FORMAT = "repro.obs.manifest/v1"
 #: and a v1 reader loads v2 files (extra keys skipped).  v1: PR-2
 #: manifests.  v2: adds ``schema_version``, ``conformance``,
 #: ``analysis``; writes are key-sorted and append an index line.
-#: v3: adds ``queue_backend`` and ``macro`` (event-core selection).
+#: v3: added the event-core selection (queue backend, macro switch);
+#: no longer written since the event core has no run-level options,
+#: and ignored on load.
 #: v4: adds ``cache_key`` and ``request`` (the canonical request and
 #: its content hash — what ``repro.serve`` answers repeats from).
 #: v5: adds ``workload`` (the registered :mod:`repro.workloads` id the
@@ -102,12 +104,6 @@ class RunManifest:
     #: Recovery actions taken across the run (retries, timeouts, CPU
     #: fallbacks), as ``RecoveryAction.to_dict()`` entries in order.
     recovery: List[dict] = field(default_factory=list)
-    #: Event-queue backend the simulator cores used (``"heap"`` or
-    #: ``"array"``; see ``repro.sim.events.QUEUE_BACKENDS``).
-    queue_backend: str = "heap"
-    #: Whether the macro fast path was permitted (False when the run
-    #: forced the DES with ``--no-macro`` / ``REPRO_NO_MACRO=1``).
-    macro: bool = True
     #: Content address of the run's canonical request
     #: (``repro.serve.cache.cache_key``); empty for uncacheable runs
     #: (active fault injection) and pre-v4 manifests.
@@ -152,8 +148,6 @@ class RunManifest:
             "outputs": self.outputs,
             "fault_plan": self.fault_plan,
             "recovery": self.recovery,
-            "queue_backend": self.queue_backend,
-            "macro": self.macro,
             "cache_key": self.cache_key,
             "request": self.request,
             "workload": self.workload,
@@ -197,8 +191,6 @@ class RunManifest:
             outputs=data.get("outputs", {}),
             fault_plan=data.get("fault_plan", {}),
             recovery=data.get("recovery", []),
-            queue_backend=data.get("queue_backend", "heap"),
-            macro=data.get("macro", True),
             cache_key=data.get("cache_key", ""),
             request=data.get("request", {}),
             workload=data.get("workload", "mergesort"),

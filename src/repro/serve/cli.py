@@ -158,10 +158,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         "experiments": args.experiments,
         "fast": not args.full,
     }
-    if args.queue_backend:
-        request["queue_backend"] = args.queue_backend
-    if args.no_macro:
-        request["macro"] = False
     if args.check_model is not None:
         request["check_model"] = args.check_model
     if args.report:
@@ -193,10 +189,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         request["noise_amplitude"] = args.noise
     if args.seed is not None:
         request["seed"] = args.seed
-    if args.queue_backend:
-        request["queue_backend"] = args.queue_backend
-    if args.no_macro:
-        request["macro"] = False
     if args.workload:
         request["workload"] = args.workload
     _policy_fields(args, request)
@@ -352,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment ids (fig8, table2, ...) or 'all'",
     )
     p.add_argument("--full", action="store_true", help="full-size grids")
-    p.add_argument("--queue-backend", default=None)
-    p.add_argument("--no-macro", action="store_true")
     p.add_argument(
         "--check-model",
         nargs="?",
@@ -397,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--full", action="store_true", help="full-size grids")
-    p.add_argument("--queue-backend", default=None)
-    p.add_argument("--no-macro", action="store_true")
     p.add_argument(
         "--workload",
         default=None,

@@ -32,6 +32,7 @@ being misinterpreted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,8 +59,6 @@ _ALLOWED_FIELDS = frozenset(
         "include_cpu_fallback",
         "noise_amplitude",
         "seed",
-        "queue_backend",
-        "macro",
         "check_model",
         "report",
         "priority",
@@ -96,8 +95,6 @@ class JobRequest:
     include_cpu_fallback: bool = True
     noise_amplitude: Optional[float] = None
     seed: Optional[int] = None
-    queue_backend: Optional[str] = None
-    macro: bool = True
     check_model: Optional[float] = None
     report: bool = False
     priority: int = 0
@@ -119,8 +116,6 @@ class JobRequest:
             "protocol": PROTOCOL_VERSION,
             "kind": self.kind,
             "fast": self.fast,
-            "include_cpu_fallback": self.include_cpu_fallback,
-            "macro": self.macro,
             "report": self.report,
             "priority": self.priority,
         }
@@ -136,12 +131,12 @@ class JobRequest:
             data["levels"] = list(self.levels)
         if self.adaptive is not None:
             data["adaptive"] = self.adaptive
+        if self.kind == "sweep":
+            data["include_cpu_fallback"] = self.include_cpu_fallback
         if self.noise_amplitude is not None:
             data["noise_amplitude"] = self.noise_amplitude
         if self.seed is not None:
             data["seed"] = self.seed
-        if self.queue_backend is not None:
-            data["queue_backend"] = self.queue_backend
         if self.check_model is not None:
             data["check_model"] = self.check_model
         if self.retry:
@@ -167,6 +162,11 @@ def _as_bool(data: dict, key: str, default: bool) -> bool:
     return value
 
 
+def _is_number(value: object) -> bool:
+    """An int or float, but not a bool (JSON ``true`` is not a number)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_number_tuple(value, key: str, cast) -> Tuple:
     _require(
         isinstance(value, (list, tuple)) and len(value) > 0,
@@ -175,7 +175,7 @@ def _as_number_tuple(value, key: str, cast) -> Tuple:
     out = []
     for item in value:
         _require(
-            isinstance(item, (int, float)) and not isinstance(item, bool),
+            _is_number(item),
             f"{key!r} entries must be numbers, got {item!r}",
         )
         out.append(cast(item))
@@ -206,7 +206,6 @@ def validate_request(data: object) -> JobRequest:
     _require(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")
 
     fast = _as_bool(data, "fast", True)
-    macro = _as_bool(data, "macro", True)
     report = _as_bool(data, "report", False)
     include_cpu_fallback = _as_bool(data, "include_cpu_fallback", True)
 
@@ -215,16 +214,6 @@ def validate_request(data: object) -> JobRequest:
         isinstance(priority, int) and not isinstance(priority, bool),
         f"priority must be an integer, got {priority!r}",
     )
-
-    queue_backend = data.get("queue_backend")
-    if queue_backend is not None:
-        from repro.sim.events import QUEUE_BACKENDS
-
-        _require(
-            queue_backend in QUEUE_BACKENDS,
-            f"unknown queue_backend {queue_backend!r}; available: "
-            f"{', '.join(sorted(QUEUE_BACKENDS))}",
-        )
 
     check_model = data.get("check_model")
     if check_model is True:
@@ -235,9 +224,7 @@ def validate_request(data: object) -> JobRequest:
         check_model = None
     if check_model is not None:
         _require(
-            isinstance(check_model, (int, float))
-            and not isinstance(check_model, bool)
-            and check_model > 0,
+            _is_number(check_model) and check_model > 0,
             f"check_model must be true or a positive residual band, "
             f"got {data.get('check_model')!r}",
         )
@@ -252,8 +239,7 @@ def validate_request(data: object) -> JobRequest:
     noise_amplitude = data.get("noise_amplitude")
     if noise_amplitude is not None:
         _require(
-            isinstance(noise_amplitude, (int, float))
-            and not isinstance(noise_amplitude, bool)
+            _is_number(noise_amplitude)
             and 0.0 <= float(noise_amplitude) < 1.0,
             f"noise_amplitude must be in [0, 1), got {noise_amplitude!r}",
         )
@@ -272,25 +258,31 @@ def validate_request(data: object) -> JobRequest:
         not retry_unknown,
         f"unknown retry field(s): {', '.join(retry_unknown)}",
     )
+    max_retries = retry.get("max_retries", 0)
+    _require(
+        isinstance(max_retries, int) and not isinstance(max_retries, bool),
+        f"retry.max_retries must be an integer, got {max_retries!r}",
+    )
+    # Finite too: the daemon sleeps the backoff and waits out the
+    # deadline in wall-clock time, and JSON lines may carry Infinity/NaN.
+    backoff = retry.get("backoff", 0.0)
+    _require(
+        _is_number(backoff) and math.isfinite(backoff),
+        f"retry.backoff must be a finite number, got {backoff!r}",
+    )
     timeout_s = data.get("timeout_s")
-    try:
-        RetryPolicy(
-            max_retries=int(retry.get("max_retries", 0)),
-            backoff=float(retry.get("backoff", 0.0)),
-        )
-        TimeoutPolicy(
-            kernel_deadline=(
-                float(timeout_s) if timeout_s is not None else None
-            )
-        )
-    except (FaultInjectionError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid job policy: {exc}") from exc
     if timeout_s is not None:
+        _require(
+            _is_number(timeout_s) and math.isfinite(timeout_s),
+            f"timeout_s must be a finite number, got {timeout_s!r}",
+        )
         timeout_s = float(timeout_s)
-    retry = {
-        "max_retries": int(retry.get("max_retries", 0)),
-        "backoff": float(retry.get("backoff", 0.0)),
-    }
+    try:
+        RetryPolicy(max_retries=max_retries, backoff=float(backoff))
+        TimeoutPolicy(kernel_deadline=timeout_s)
+    except FaultInjectionError as exc:
+        raise ProtocolError(f"invalid job policy: {exc}") from exc
+    retry = {"max_retries": max_retries, "backoff": float(backoff)}
     if retry == {"max_retries": 0, "backoff": 0.0}:
         retry = {}
 
@@ -309,7 +301,10 @@ def validate_request(data: object) -> JobRequest:
             raise ProtocolError(str(exc)) from exc
 
     if kind == "figure":
-        for key in ("platform", "n", "alphas", "levels", "adaptive"):
+        for key in (
+            "platform", "n", "alphas", "levels", "adaptive",
+            "include_cpu_fallback",
+        ):
             _require(
                 data.get(key) is None,
                 f"{key!r} only applies to kind='sweep'",
@@ -351,9 +346,6 @@ def validate_request(data: object) -> JobRequest:
             kind="figure",
             experiments=tuple(str(e) for e in experiments),
             fast=fast,
-            include_cpu_fallback=include_cpu_fallback,
-            queue_backend=queue_backend,
-            macro=macro,
             check_model=check_model,
             report=report,
             priority=priority,
@@ -414,8 +406,6 @@ def validate_request(data: object) -> JobRequest:
         include_cpu_fallback=include_cpu_fallback,
         noise_amplitude=noise_amplitude,
         seed=seed,
-        queue_backend=queue_backend,
-        macro=macro,
         check_model=check_model,
         report=report,
         priority=priority,
@@ -430,7 +420,9 @@ def validate_request(data: object) -> JobRequest:
 # ----------------------------------------------------------------------
 #: Version of the canonical-request layout.  Part of every cache key:
 #: bump it to invalidate all cached results after a semantic change.
-CACHE_SCHEMA = 1
+#: v2: the event-queue and macro-path fields left the request (they
+#: never changed a result); ``include_cpu_fallback`` keys sweeps only.
+CACHE_SCHEMA = 2
 
 
 def canonical_request(
@@ -444,7 +436,7 @@ def canonical_request(
     Every field that can influence the bytes of the run's manifest is
     present with its *effective* value (defaults resolved): platform
     and workload, the n grid, noise amplitude and seed, the schedule
-    family, α/level grids, queue backend and macro flag, the
+    family, α/level grids and (sweeps only) the CPU-fallback candidate, the
     observability profile (``traced``/``check_model``/``report`` change
     manifest contents even though simulated numbers are bit-identical),
     and the library version.  Excluded on purpose: priority and job
@@ -456,10 +448,8 @@ def canonical_request(
     """
     import repro
     from repro.experiments.common import MEASUREMENT_NOISE
-    from repro.sim.events import default_backend
     from repro.util.rng import DEFAULT_SEED
 
-    queue_backend = request.queue_backend or default_backend()
     noise_amplitude = (
         request.noise_amplitude
         if request.noise_amplitude is not None
@@ -478,18 +468,20 @@ def canonical_request(
         "check_model": request.check_model,
         "experiments": list(request.experiments) or None,
         "fast": bool(request.fast),
-        "include_cpu_fallback": bool(request.include_cpu_fallback),
+        "include_cpu_fallback": (
+            bool(request.include_cpu_fallback)
+            if request.kind == "sweep"
+            else None
+        ),
         "kind": request.kind,
         "levels": (
             [int(v) for v in request.levels]
             if request.levels is not None
             else None
         ),
-        "macro": bool(request.macro),
         "n": [int(v) for v in request.n] or None,
         "noise_amplitude": float(noise_amplitude),
         "platform": request.platform,
-        "queue_backend": queue_backend,
         "report": bool(request.report),
         "repro_version": repro.__version__,
         "resilient": bool(resilient),

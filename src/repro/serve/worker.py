@@ -63,8 +63,6 @@ def build_spec(
     return RunSpec(
         experiments=experiments,
         fast=request.fast,
-        queue_backend=request.queue_backend,
-        macro=request.macro,
         check_model=request.check_model,
         report=request.report,
         manifest=True,

@@ -10,20 +10,13 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.events import make_event_queue
+from repro.sim.events import EventQueue
 from repro.sim.process import AllOf, Process, ProcessGenerator, Timeout
 from repro.sim.signals import Signal
 
 
 class Simulator:
-    """A simulated clock plus the machinery to run processes against it.
-
-    ``queue_backend`` names the event-queue implementation (see
-    :data:`repro.sim.events.QUEUE_BACKENDS`); ``None`` resolves the
-    ``REPRO_QUEUE_BACKEND`` environment variable and falls back to the
-    heapq reference.  Every backend preserves the FIFO tie-break
-    contract, so the choice never changes simulation results.
-    """
+    """A simulated clock plus the machinery to run processes against it."""
 
     __slots__ = (
         "_queue",
@@ -34,8 +27,8 @@ class Simulator:
         "processes_spawned",
     )
 
-    def __init__(self, queue_backend: Optional[str] = None) -> None:
-        self._queue = make_event_queue(queue_backend)
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self.now: float = 0.0
         self._live_processes = 0
         self._running = False

@@ -1,30 +1,17 @@
-"""Time-ordered event queues, pluggable per simulator.
+"""The time-ordered event queue that drives the simulator.
 
 The engine's contract is small: events pop in ascending timestamp
 order, and events pushed at the *same* timestamp pop in push (FIFO)
 order — this determinism is load-bearing for reproducible experiments.
-Two backends implement it:
+:class:`EventQueue` keeps ``(time, seq, callback)`` triples in a binary
+heap, with a monotone ``seq`` breaking ties.
 
-- :class:`HeapEventQueue` (``"heap"``, the default): the reference
-  implementation — ``(time, seq, callback)`` triples in a binary heap,
-  with a monotone ``seq`` breaking ties.
-- :class:`ArrayEventQueue` (``"array"``): a flat sorted array kept in
-  *descending* time order, so the next event is an O(1) ``list.pop()``
-  from the end.  Insertion bisects on negated timestamps; among equal
-  timestamps a new event lands at the low end of the run and therefore
-  pops last, giving FIFO order without a per-event sequence counter or
-  tuple allocation.
-
-Backends also support the engine's batched drain: :meth:`pop_batch`
+The queue also supports the engine's batched drain: :meth:`pop_batch`
 removes the entire run of earliest-equal-time events in one call, and
 :meth:`requeue` puts not-yet-run callbacks back at the *front* of that
 timestamp's FIFO run if a callback raises mid-batch — so an exception
-leaves the queue exactly as the one-event-at-a-time reference would.
-
-Select a backend per simulator via ``Simulator(queue_backend=...)`` or
-process-wide with the ``REPRO_QUEUE_BACKEND`` environment variable.
-The differential property suite (``tests/sim/test_event_backends.py``)
-pins drain-order equivalence across backends.
+leaves the queue exactly as popping one event at a time would.
+``tests/sim/test_determinism.py`` pins the contract.
 """
 
 from __future__ import annotations
@@ -32,14 +19,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
-from bisect import bisect_left
 from typing import Callable, List, Sequence, Tuple
 
 Callback = Callable[[], None]
-
-#: Environment variable naming the process-wide default backend.
-BACKEND_ENV = "REPRO_QUEUE_BACKEND"
 
 #: When True, ``push`` validates that timestamps are finite.  Off by
 #: default: ``push`` is the engine's hottest call and
@@ -49,12 +31,10 @@ BACKEND_ENV = "REPRO_QUEUE_BACKEND"
 DEBUG_VALIDATE = False
 
 
-class HeapEventQueue:
-    """The reference backend: a binary heap of timestamped callbacks."""
+class EventQueue:
+    """A binary heap of timestamped callbacks, FIFO among equal times."""
 
     __slots__ = ("_heap", "_counter", "_front")
-
-    backend_name = "heap"
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Callback]] = []
@@ -103,112 +83,3 @@ class HeapEventQueue:
         if not self._heap:
             raise IndexError("peek on an empty EventQueue")
         return self._heap[0][0]
-
-
-class ArrayEventQueue:
-    """Flat-array backend: parallel lists sorted by descending time.
-
-    ``_neg_times`` holds *negated* timestamps in ascending order with
-    ``_callbacks`` in lockstep, so the earliest event is at the end of
-    both lists and ``pop`` is two O(1) ``list.pop()`` calls.  Equal
-    timestamps need no sequence counter: ``bisect_left`` on the negated
-    key inserts a new event *before* existing equals, i.e. farther from
-    the popping end, which is exactly FIFO.
-    """
-
-    __slots__ = ("_neg_times", "_callbacks")
-
-    backend_name = "array"
-
-    def __init__(self) -> None:
-        self._neg_times: List[float] = []
-        self._callbacks: List[Callback] = []
-
-    def __len__(self) -> int:
-        return len(self._neg_times)
-
-    def push(self, time: float, callback: Callback) -> None:
-        """Schedule ``callback`` to run at absolute ``time``."""
-        if DEBUG_VALIDATE and not math.isfinite(time):
-            raise ValueError(f"event time must be finite, got {time!r}")
-        neg_times = self._neg_times
-        index = bisect_left(neg_times, -time)
-        neg_times.insert(index, -time)
-        self._callbacks.insert(index, callback)
-
-    def pop(self) -> Tuple[float, Callback]:
-        """Remove and return the earliest ``(time, callback)`` pair."""
-        if not self._neg_times:
-            raise IndexError("pop from an empty EventQueue")
-        return -self._neg_times.pop(), self._callbacks.pop()
-
-    def pop_batch(self) -> Tuple[float, List[Callback]]:
-        """Remove the whole run of earliest-equal-time events (FIFO)."""
-        neg_times = self._neg_times
-        if not neg_times:
-            raise IndexError("pop from an empty EventQueue")
-        neg = neg_times[-1]
-        start = bisect_left(neg_times, neg)
-        del neg_times[start:]
-        callbacks = self._callbacks[start:]
-        callbacks.reverse()
-        del self._callbacks[start:]
-        return -neg, callbacks
-
-    def requeue(self, time: float, callbacks: Sequence[Callback]) -> None:
-        """Restore ``callbacks`` at the front of ``time``'s FIFO run.
-
-        Only valid for ``time <=`` every queued timestamp (the engine
-        requeues the batch it just popped, which is by construction the
-        earliest), so the entries append at the popping end; appending
-        them in reverse makes the first callback pop first, ahead of
-        any event pushed at the same timestamp mid-batch.
-        """
-        neg = -time
-        neg_times = self._neg_times
-        if neg_times and neg_times[-1] > neg:
-            raise ValueError(
-                f"cannot requeue at {time}: an earlier event is queued"
-            )
-        push_neg = neg_times.append
-        push_cb = self._callbacks.append
-        for callback in reversed(callbacks):
-            push_neg(neg)
-            push_cb(callback)
-
-    def peek_time(self) -> float:
-        """Timestamp of the earliest event (queue must be non-empty)."""
-        if not self._neg_times:
-            raise IndexError("peek on an empty EventQueue")
-        return -self._neg_times[-1]
-
-
-#: Back-compat alias: the heap backend is the historical EventQueue.
-EventQueue = HeapEventQueue
-
-#: Registered backends, by the name ``Simulator(queue_backend=...)`` and
-#: :data:`BACKEND_ENV` accept.
-QUEUE_BACKENDS = {
-    HeapEventQueue.backend_name: HeapEventQueue,
-    ArrayEventQueue.backend_name: ArrayEventQueue,
-}
-
-
-def default_backend() -> str:
-    """The process-wide default backend name (env override or heap)."""
-    return os.environ.get(BACKEND_ENV, "").strip() or "heap"
-
-
-def make_event_queue(backend: str | None = None):
-    """Instantiate a queue backend by name.
-
-    ``None`` resolves :data:`BACKEND_ENV` (default ``"heap"``).
-    """
-    name = default_backend() if backend is None else backend
-    cls = QUEUE_BACKENDS.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown event-queue backend {name!r}; expected one of "
-            f"{sorted(QUEUE_BACKENDS)}"
-        )
-    return cls()

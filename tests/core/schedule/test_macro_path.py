@@ -7,8 +7,8 @@ contract is *bit-identity*: on every eligible plan the emitted
 everything — must equal the DES's output exactly, including on plans
 whose GPU tail contends for the core pool (the two-stream replay).
 These tests pin that contract across a fig8-style operating grid,
-verify every escape hatch back to the DES (``macro=False``,
-``REPRO_NO_MACRO``, the reference path, active tracing), and check the
+verify every escape hatch back to the DES (``macro=False``, the
+reference path, active tracing), and check the
 analytic-model conformance oracle accepts macro-path runs within the
 committed fig8 band.
 """
@@ -146,14 +146,6 @@ class TestEligibilityGates:
 
     def test_macro_false_forces_des(self):
         assert not macro_module.macro_enabled(self._executor(macro=False))
-
-    def test_env_kill_switch_forces_des(self, monkeypatch):
-        monkeypatch.setenv(macro_module.NO_MACRO_ENV, "1")
-        assert not macro_module.macro_enabled(self._executor())
-
-    def test_env_kill_switch_empty_value_is_off(self, monkeypatch):
-        monkeypatch.setenv(macro_module.NO_MACRO_ENV, "")
-        assert macro_module.macro_enabled(self._executor())
 
     def test_reference_path_forces_des(self):
         assert not macro_module.macro_enabled(self._executor(fast=False))

@@ -8,7 +8,11 @@ import sys
 import pytest
 
 from repro.serve.cache import ResultCache, cache_key
-from repro.serve.protocol import canonical_request, validate_request
+from repro.serve.protocol import (
+    ProtocolError,
+    canonical_request,
+    validate_request,
+)
 
 
 def key_of(data, **canonical_kwargs):
@@ -36,13 +40,12 @@ class TestStability:
         assert key_of(FIGURE) == key_of(shuffled)
 
     def test_defaults_resolve_to_same_key_as_explicit_values(self):
-        from repro.sim.events import default_backend
         from repro.util.rng import DEFAULT_SEED
 
-        explicit = dict(
-            FIGURE, seed=DEFAULT_SEED, queue_backend=default_backend()
+        assert key_of(FIGURE) == key_of(dict(FIGURE, seed=DEFAULT_SEED))
+        assert key_of(SWEEP) == key_of(
+            dict(SWEEP, include_cpu_fallback=True)
         )
-        assert key_of(FIGURE) == key_of(explicit)
 
     def test_key_is_stable_across_processes(self):
         """Same request, fresh interpreter (fresh PYTHONHASHSEED) —
@@ -91,8 +94,6 @@ class TestDistinctness:
         [
             (FIGURE, dict(FIGURE, experiments=["fig8"])),
             (FIGURE, dict(FIGURE, fast=False)),
-            (FIGURE, dict(FIGURE, macro=False)),
-            (FIGURE, dict(FIGURE, queue_backend="array")),
             (FIGURE, dict(FIGURE, report=True)),
             (FIGURE, dict(FIGURE, check_model=True)),
             (SWEEP, dict(SWEEP, seed=7)),
@@ -101,10 +102,23 @@ class TestDistinctness:
             (SWEEP, dict(SWEEP, alphas=[0.25, 0.75])),
             (SWEEP, dict(SWEEP, platform="HPU2")),
             (SWEEP, dict(SWEEP, include_cpu_fallback=False)),
+            (SWEEP, dict(SWEEP, levels=[0, 1])),
+            (SWEEP, dict(SWEEP, adaptive=False)),
         ],
     )
     def test_different_requests_different_keys(self, a, b):
         assert key_of(a) != key_of(b)
+
+    @pytest.mark.parametrize("base", [FIGURE, SWEEP], ids=["figure", "sweep"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("queue_backend", "heap"), ("macro", True), ("macro", False)],
+    )
+    def test_event_core_fields_are_rejected(self, base, field, value):
+        """The event core has no run-level options, so a request that
+        still names one fails strict parsing instead of keying apart."""
+        with pytest.raises(ProtocolError, match="unknown request field"):
+            validate_request(dict(base, **{field: value}))
 
     def test_kind_differs(self):
         assert key_of(FIGURE) != key_of(SWEEP)

@@ -31,14 +31,16 @@ class TestValidateFigure:
         assert request.kind == "figure"
         assert request.experiments == ("fig8",)
         assert request.fast is True
-        assert request.macro is True
 
     def test_round_trips_through_to_dict(self):
         request = validate_request(
-            figure(fast=False, report=True, priority=3, queue_backend="heap")
+            figure(fast=False, report=True, priority=3)
         )
         again = validate_request(request.to_dict())
         assert again == request
+        # A sweep-only field: emitting it would make the round trip
+        # fail its own validation.
+        assert "include_cpu_fallback" not in request.to_dict()
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ProtocolError, match="unknown experiment"):
@@ -69,12 +71,21 @@ class TestValidateFigure:
             validate_request(figure(noise_amplitude=0.1))
 
     def test_figure_rejects_sweep_fields(self):
-        with pytest.raises(ProtocolError, match="sweep"):
-            validate_request(figure(platform="HPU1"))
+        # include_cpu_fallback too: only a sweep tries the CPU-only
+        # candidate, so on a figure it would split the cache key
+        # without changing the run.
+        for extra in (
+            {"platform": "HPU1"},
+            {"include_cpu_fallback": False},
+            {"include_cpu_fallback": True},
+        ):
+            with pytest.raises(ProtocolError, match="sweep"):
+                validate_request(figure(**extra))
 
     def test_unknown_queue_backend_rejected(self):
-        with pytest.raises(ProtocolError, match="queue_backend"):
-            validate_request(figure(queue_backend="btree"))
+        # The event queue is not selectable: the field is unknown.
+        with pytest.raises(ProtocolError, match="unknown request field"):
+            validate_request(figure(queue_backend="heap"))
 
 
 class TestValidateSweep:
@@ -107,7 +118,13 @@ class TestValidateSweep:
 
     def test_round_trips_through_to_dict(self):
         request = validate_request(
-            sweep(alphas=[0.25, 0.5], levels=[0, 1], seed=3, adaptive=False)
+            sweep(
+                alphas=[0.25, 0.5],
+                levels=[0, 1],
+                seed=3,
+                adaptive=False,
+                include_cpu_fallback=False,
+            )
         )
         assert validate_request(request.to_dict()) == request
 
@@ -137,6 +154,25 @@ class TestJobPolicies:
     )
     def test_invalid_policy_rejected(self, bad):
         with pytest.raises(ProtocolError, match="invalid job policy"):
+            validate_request(figure(**bad))
+
+    @pytest.mark.parametrize(
+        "bad,field",
+        [
+            ({"timeout_s": True}, "timeout_s"),
+            ({"timeout_s": "5"}, "timeout_s"),
+            ({"retry": {"max_retries": "2"}}, "max_retries"),
+            ({"retry": {"max_retries": 2.9}}, "max_retries"),
+            ({"retry": {"max_retries": True}}, "max_retries"),
+            ({"retry": {"backoff": True}}, "backoff"),
+            ({"retry": {"backoff": "0.5"}}, "backoff"),
+            ({"retry": {"backoff": float("inf")}}, "backoff"),
+            ({"retry": {"backoff": float("nan")}}, "backoff"),
+            ({"timeout_s": float("inf")}, "timeout_s"),
+        ],
+    )
+    def test_policy_of_wrong_type_rejected(self, bad, field):
+        with pytest.raises(ProtocolError, match=field):
             validate_request(figure(**bad))
 
     def test_unknown_retry_field_rejected(self):
@@ -172,5 +208,6 @@ class TestRequestDataclass:
     def test_defaults_match_runner_defaults(self):
         request = JobRequest(kind="figure", experiments=("fig8",))
         assert request.fast is True
-        assert request.macro is True
         assert request.priority == 0
+        assert request.retry == {}
+        assert request.timeout_s is None

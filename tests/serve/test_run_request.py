@@ -171,3 +171,47 @@ class TestServeDirectEquivalence:
         assert job.cache_hit is True
         assert job.run_id == "warm"
         assert job.cache_key == direct.cache_key
+
+
+class TestDaemonKeyMatchesRunnerKey:
+    """The key the daemon files a job under (from the validated
+    request) must equal the key the runner computes from the spec the
+    worker builds — else the job never hits the cache and its snapshot
+    disagrees with its manifest."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "figure", "experiments": ["table1"]},
+            {"kind": "figure", "experiments": ["table1"], "report": True},
+            {
+                "kind": "sweep",
+                "platform": "HPU1",
+                "n": [4096],
+                "alphas": [0.5],
+                "include_cpu_fallback": False,
+            },
+            {
+                "kind": "sweep",
+                "platform": "HPU2",
+                "n": [4096],
+                "alphas": [0.5],
+                "levels": [0],
+                "adaptive": False,
+                "seed": 7,
+            },
+        ],
+        ids=["figure", "figure-report", "sweep-no-fallback", "sweep-seeded"],
+    )
+    def test_keys_agree(self, tmp_path, data):
+        from repro.serve.cache import cache_key
+        from repro.serve.protocol import canonical_request, validate_request
+        from repro.serve.worker import build_spec
+
+        request = validate_request(data)
+        canonical = canonical_request(request)
+        outcome = run_request(
+            build_spec(canonical, request, str(tmp_path), run_id="k")
+        )
+        assert outcome.request == canonical
+        assert outcome.cache_key == cache_key(canonical)

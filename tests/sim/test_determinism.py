@@ -1,14 +1,17 @@
 """Determinism invariants of the event queue and the simulator clock.
 
 These are the load-bearing guarantees behind every golden test in the
-suite: FIFO tie-breaking at equal timestamps, exact ``run(until=...)``
-clock semantics, and the validation split between ``Simulator.schedule``
-(always on) and ``EventQueue.push`` (opt-in via ``DEBUG_VALIDATE``).
+suite: FIFO tie-breaking at equal timestamps (one event at a time or
+batched), exact ``run(until=...)`` clock semantics, and the validation
+split between ``Simulator.schedule`` (always on) and ``EventQueue.push``
+(opt-in via ``DEBUG_VALIDATE``).
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Simulator, Timeout
@@ -59,6 +62,47 @@ class TestEventQueueFIFO:
             queue.pop()
         with pytest.raises(IndexError):
             queue.peek_time()
+
+    def test_pop_batch_takes_whole_tie_run(self):
+        queue = EventQueue()
+        for name in ("a", "b", "c"):
+            queue.push(2.0, name)
+        queue.push(7.0, "later")
+        assert queue.pop_batch() == (2.0, ["a", "b", "c"])
+        assert len(queue) == 1
+        assert queue.peek_time() == 7.0
+
+    def test_requeue_restores_front_of_run(self):
+        # An exception mid-batch puts the unrun tail back; it must pop
+        # before anything pushed at the same stamp during the batch.
+        queue = EventQueue()
+        for name in ("a", "b", "c"):
+            queue.push(4.0, name)
+        time, callbacks = queue.pop_batch()
+        queue.push(4.0, "pushed-mid-batch")
+        queue.requeue(time, callbacks[1:])  # "a" ran, "b"/"c" did not
+        order = [queue.pop()[1] for _ in range(3)]
+        assert order == ["b", "c", "pushed-mid-batch"]
+
+    # Tie-heavy schedules: few distinct stamps over many events.
+    @given(
+        times=st.lists(
+            st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]), max_size=60
+        )
+    )
+    @settings(max_examples=100)
+    def test_batched_drain_matches_single_pops(self, times):
+        singles = EventQueue()
+        batched = EventQueue()
+        for seq, t in enumerate(times):
+            singles.push(t, seq)
+            batched.push(t, seq)
+        flat = [singles.pop() for _ in range(len(times))]
+        via_batches = []
+        while len(batched):
+            time, callbacks = batched.pop_batch()
+            via_batches.extend((time, cb) for cb in callbacks)
+        assert via_batches == flat
 
 
 class TestEventQueueValidation:

@@ -1,48 +1,43 @@
-"""Cross-backend contracts of the pluggable event queues.
+"""Contracts of the event queue implementation, case by case.
 
-Every backend in :data:`repro.sim.events.QUEUE_BACKENDS` must honor
-the same small contract — ascending timestamps, FIFO among equals,
-``IndexError`` on empty access, opt-in finiteness validation — and,
-most importantly, *drain identically*: the differential property test
-feeds randomized tie-heavy schedules to each backend and to the heap
-reference and requires the exact same pop sequence.  That equivalence
-is what lets ``REPRO_QUEUE_BACKEND=array`` claim bit-identical
-simulation results.
+The simulator's event queue is :class:`repro.sim.events.EventQueue`, a
+binary heap (test id ``heap``).  These cases pin the small contract a
+queue implementation owes the engine: FIFO among equal timestamps,
+``IndexError`` on empty access, and opt-in finiteness validation.  The
+batched-drain contract lives in ``tests/sim/test_determinism.py``.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sim import events as events_module
-from repro.sim.events import (
-    QUEUE_BACKENDS,
-    HeapEventQueue,
-    make_event_queue,
-)
+from repro.sim.events import EventQueue
 
-BACKENDS = sorted(QUEUE_BACKENDS)
+IMPLEMENTATIONS = {"heap": EventQueue}
 
-pytestmark = pytest.mark.parametrize("backend", BACKENDS)
+pytestmark = pytest.mark.parametrize("backend", sorted(IMPLEMENTATIONS))
+
+
+def make_queue(backend):
+    return IMPLEMENTATIONS[backend]()
 
 
 class TestEmptyQueueErrors:
     def test_pop_empty_raises(self, backend):
         with pytest.raises(IndexError, match="empty EventQueue"):
-            make_event_queue(backend).pop()
+            make_queue(backend).pop()
 
     def test_pop_batch_empty_raises(self, backend):
         with pytest.raises(IndexError, match="empty EventQueue"):
-            make_event_queue(backend).pop_batch()
+            make_queue(backend).pop_batch()
 
     def test_peek_empty_raises(self, backend):
         with pytest.raises(IndexError, match="empty EventQueue"):
-            make_event_queue(backend).peek_time()
+            make_queue(backend).peek_time()
 
     def test_drained_queue_raises_again(self, backend):
-        queue = make_event_queue(backend)
+        queue = make_queue(backend)
         queue.push(1.0, "x")
         assert queue.pop() == (1.0, "x")
         with pytest.raises(IndexError):
@@ -57,7 +52,7 @@ class TestDebugValidate:
         self, backend, bad, monkeypatch
     ):
         monkeypatch.setattr(events_module, "DEBUG_VALIDATE", True)
-        queue = make_event_queue(backend)
+        queue = make_queue(backend)
         with pytest.raises(ValueError, match="must be finite"):
             queue.push(bad, "boom")
         assert len(queue) == 0  # the bad event was not enqueued
@@ -65,20 +60,20 @@ class TestDebugValidate:
     def test_validation_off_by_default(self, backend):
         # The hot path skips the check; Simulator.schedule guards it.
         assert events_module.DEBUG_VALIDATE is False
-        queue = make_event_queue(backend)
+        queue = make_queue(backend)
         queue.push(math.inf, "accepted-unchecked")
         assert queue.pop() == (math.inf, "accepted-unchecked")
 
     def test_finite_push_passes_when_enabled(self, backend, monkeypatch):
         monkeypatch.setattr(events_module, "DEBUG_VALIDATE", True)
-        queue = make_event_queue(backend)
+        queue = make_queue(backend)
         queue.push(3.5, "ok")
         assert queue.peek_time() == 3.5
 
 
 class TestBackendContract:
     def test_fifo_among_equal_timestamps(self, backend):
-        queue = make_event_queue(backend)
+        queue = make_queue(backend)
         queue.push(5.0, "a")
         queue.push(1.0, "early")
         queue.push(5.0, "b")
@@ -86,90 +81,3 @@ class TestBackendContract:
         queue.push(5.0, "c")
         order = [queue.pop()[1] for _ in range(5)]
         assert order == ["early", "a", "b", "c", "late"]
-
-    def test_pop_batch_takes_whole_tie_run(self, backend):
-        queue = make_event_queue(backend)
-        for name in ("a", "b", "c"):
-            queue.push(2.0, name)
-        queue.push(7.0, "later")
-        assert queue.pop_batch() == (2.0, ["a", "b", "c"])
-        assert len(queue) == 1
-        assert queue.peek_time() == 7.0
-
-    def test_requeue_restores_front_of_run(self, backend):
-        # An exception mid-batch puts the unrun tail back; it must pop
-        # before anything pushed at the same stamp during the batch.
-        queue = make_event_queue(backend)
-        for name in ("a", "b", "c"):
-            queue.push(4.0, name)
-        time, callbacks = queue.pop_batch()
-        queue.push(4.0, "pushed-mid-batch")
-        queue.requeue(time, callbacks[1:])  # "a" ran, "b"/"c" did not
-        order = [queue.pop()[1] for _ in range(3)]
-        assert order == ["b", "c", "pushed-mid-batch"]
-
-
-# Tie-heavy schedules: few distinct stamps over many events.
-_schedules = st.lists(
-    st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]), min_size=0, max_size=60
-)
-
-
-class TestDifferentialDrain:
-    """Every backend drains exactly like the heap reference."""
-
-    @given(times=_schedules)
-    @settings(max_examples=200)
-    def test_pop_order_matches_heap(self, backend, times):
-        reference = HeapEventQueue()
-        candidate = make_event_queue(backend)
-        for seq, t in enumerate(times):
-            reference.push(t, seq)
-            candidate.push(t, seq)
-        expected = [reference.pop() for _ in range(len(times))]
-        drained = [candidate.pop() for _ in range(len(times))]
-        assert drained == expected
-        with pytest.raises(IndexError):
-            candidate.pop()
-
-    @given(times=_schedules)
-    @settings(max_examples=100)
-    def test_batched_drain_matches_single_pops(self, backend, times):
-        singles = make_event_queue(backend)
-        batched = make_event_queue(backend)
-        for seq, t in enumerate(times):
-            singles.push(t, seq)
-            batched.push(t, seq)
-        flat = [singles.pop() for _ in range(len(times))]
-        via_batches = []
-        while len(batched):
-            time, callbacks = batched.pop_batch()
-            via_batches.extend((time, cb) for cb in callbacks)
-        assert via_batches == flat
-
-    @given(times=_schedules, interleave=st.booleans())
-    @settings(max_examples=100)
-    def test_interleaved_push_pop_matches_heap(
-        self, backend, times, interleave
-    ):
-        # Pop between pushes (only events at/after the running clock, so
-        # the array backend's ordering invariant is exercised, not just
-        # bulk load).
-        reference = HeapEventQueue()
-        candidate = make_event_queue(backend)
-        drained_ref = []
-        drained_cand = []
-        clock = 0.0
-        for seq, t in enumerate(times):
-            stamp = clock + t
-            reference.push(stamp, seq)
-            candidate.push(stamp, seq)
-            if interleave and seq % 3 == 2:
-                ref_item = reference.pop()
-                drained_ref.append(ref_item)
-                drained_cand.append(candidate.pop())
-                clock = ref_item[0]
-        while len(reference):
-            drained_ref.append(reference.pop())
-            drained_cand.append(candidate.pop())
-        assert drained_cand == drained_ref

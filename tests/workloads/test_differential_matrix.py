@@ -2,8 +2,8 @@
 
 Every registered workload must run bit-identically across the
 independent execution paths the stack provides: the macro fast path
-vs the discrete-event core, traced vs untraced execution, and the heap
-vs array event-queue backend.  Mergesort earned each of these
+vs the discrete-event core, and traced vs untraced execution.
+Mergesort earned each of these
 equivalences one at a time; the registry's promise is that a new entry
 inherits all of them for free, so the whole matrix runs per workload
 id.
@@ -15,7 +15,6 @@ from repro.core.schedule import AdvancedSchedule, BasicSchedule, ScheduleExecuto
 from repro.core.schedule import macro as macro_module
 from repro.hpu import HPU1
 from repro.obs.tracer import Tracer, deactivate, tracing
-from repro.sim.events import BACKEND_ENV
 from repro.util.rng import NoiseModel
 from repro.workloads import get, workload_ids
 
@@ -87,18 +86,6 @@ class TestTracedVsUntraced:
         with tracing(Tracer()):
             traced = ScheduleExecutor(HPU1, workload).run_basic(plan)
         assert traced == untraced
-
-
-class TestQueueBackends:
-    def test_heap_vs_array_bit_identity(self, workload_id, monkeypatch):
-        entry = get(workload_id)
-        n = _small_n(entry)
-        results = {}
-        for backend in ("heap", "array"):
-            monkeypatch.setenv(BACKEND_ENV, backend)
-            executor, plan = _advanced(entry, n, macro=False)
-            results[backend] = executor.run_advanced(plan)
-        assert results["heap"] == results["array"]
 
 
 class TestHostBackedTiming:
