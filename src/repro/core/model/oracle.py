@@ -23,6 +23,7 @@ records residual metrics for every traced basic/advanced run) and by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +52,21 @@ from repro.errors import ModelError
 #: (HPU1) / ≈0.46 (HPU2), and the committed band gives ~30% headroom.
 #: ``tests/obs/test_conformance_pinned`` pins the sweep inside it.
 DEFAULT_RESIDUAL_BAND = 0.60
+
+
+def is_residual_band(value: object) -> bool:
+    """Whether ``value`` is a usable band: a finite number > 0.
+
+    An infinite or NaN band can never warn and a band <= 0 can never
+    pass, so neither is a verdict worth a run (or a cache entry).
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
+
 
 #: How far *above* a measured makespan a prediction may sit before the
 #: verdict flips to ``warn``.  The analysis omits only costs, so a

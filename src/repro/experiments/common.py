@@ -114,81 +114,10 @@ def _tuner_for(
     return tuner
 
 
-# ----------------------------------------------------------------------
-# Tuner-state transport (job-scoped merge-back for repro.serve)
-# ----------------------------------------------------------------------
-# The per-(platform, n, noise) tuner memos above make repeat sweeps in
-# one process nearly free.  The serve daemon extends that across *jobs*
-# running in pool workers: snapshot_tuner_keys() + export_tuner_state()
-# ship a worker's fresh evaluations back to the daemon, which seeds
-# later jobs with seed_tuner_state().
-
-def snapshot_tuner_keys() -> Dict[tuple, frozenset]:
-    """The evaluation-cache keys currently memoized, per tuner."""
-    return {
-        key: frozenset(tuner._cache) for key, tuner in _TUNERS.items()
-    }
-
-
-def export_tuner_state(
-    baseline: Optional[Dict[tuple, frozenset]] = None,
-) -> Dict[tuple, dict]:
-    """Picklable snapshot of tuner memos, minus an earlier baseline.
-
-    Keyed like :data:`_TUNERS` — ``(platform name, workload id, n,
-    noise)`` — with each value carrying the platform name (an HPU is
-    rebuilt from its preset on the other side), the workload id (the
-    workload is rebuilt through the registry), the new
-    evaluation-cache entries, and the CPU-fallback result.
-    ``baseline`` (a :func:`snapshot_tuner_keys` result) limits the
-    export to entries evaluated *after* the snapshot, keeping job
-    payloads incremental.
-    """
-    baseline = baseline or {}
-    state: Dict[tuple, dict] = {}
-    for key, tuner in _TUNERS.items():
-        known = baseline.get(key, frozenset())
-        fresh = {
-            k: v for k, v in tuner._cache.items() if k not in known
-        }
-        if not fresh and (key in baseline or tuner._cpu_fallback is None):
-            continue
-        name, workload, n, noise = key
-        state[key] = {
-            "platform": name,
-            "workload": workload,
-            "n": n,
-            "noise": noise,
-            "cache": fresh,
-            "cpu_fallback": tuner._cpu_fallback,
-        }
-    return state
-
-
-def seed_tuner_state(state: Dict[tuple, dict]) -> None:
-    """Fold an :func:`export_tuner_state` snapshot into this process.
-
-    Existing memo entries always win (``setdefault``), so seeding is
-    idempotent and can never change what a warm process would have
-    computed anyway.  Unknown platform names and workload ids are
-    skipped: a snapshot from a newer library must not crash an older
-    worker.
-    """
-    from repro.hpu.platforms import PLATFORMS
-    from repro.workloads import is_registered
-
-    for payload in state.values():
-        hpu = PLATFORMS.get(payload["platform"])
-        workload = payload.get("workload", "mergesort")
-        if hpu is None or not is_registered(workload):
-            continue
-        tuner = _tuner_for(
-            hpu, payload["n"], payload["noise"], workload=workload
-        )
-        for key, value in payload["cache"].items():
-            tuner._cache.setdefault(key, value)
-        if tuner._cpu_fallback is None:
-            tuner._cpu_fallback = payload["cpu_fallback"]
+def seed_tuner_state(state) -> None:
+    """No-op.  Each serve pool worker keeps its own exact ``_TUNERS``
+    memo, so no tuner state crosses the process boundary; the name
+    stays only because ``userbench/ubench/spans.py`` wraps it."""
 
 
 def sweep_best_operating_point(

@@ -823,16 +823,21 @@ def main(argv=None) -> int:
 
     residual_band = None
     if args.check_model is not None:
-        if args.check_model == "default":
-            from repro.core.model.oracle import DEFAULT_RESIDUAL_BAND
+        from repro.core.model.oracle import (
+            DEFAULT_RESIDUAL_BAND,
+            is_residual_band,
+        )
 
+        if args.check_model == "default":
             residual_band = DEFAULT_RESIDUAL_BAND
         else:
             try:
                 residual_band = float(args.check_model)
             except ValueError:
+                residual_band = None
+            if not is_residual_band(residual_band):
                 parser.error(
-                    f"--check-model: expected a number, "
+                    f"--check-model: expected a finite number > 0, "
                     f"got {args.check_model!r}"
                 )
 

@@ -209,8 +209,13 @@ def _cmd_check(args) -> int:
         DEFAULT_RESIDUAL_BAND,
         OPTIMISM_TOLERANCE,
         conformance_verdict,
+        is_residual_band,
     )
 
+    if args.band is not None and not is_residual_band(args.band):
+        raise CliError(
+            f"--band: expected a finite number > 0, got {args.band!r}"
+        )
     manifest, path = _load(args.results_dir, args.run)
     block = manifest.conformance
     if not block or not block.get("checks"):

@@ -5,8 +5,7 @@ Identity
     (:func:`repro.serve.protocol.canonical_request`) with ``blake2b``
     over key-sorted compact JSON — stable across processes, dict
     orderings and ``PYTHONHASHSEED``, distinct for any change to a
-    behavioural field (seed, noise, queue backend, macro flag, grids,
-    platform, ...).
+    behavioural field (seed, noise, grids, platform, ...).
 
 Source of truth
     The cache owns **no** storage of its own.  Every run manifest

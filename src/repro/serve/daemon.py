@@ -18,9 +18,9 @@
     dataclasses: ``RetryPolicy.delay()`` drives wall-clock backoff
     between attempts, and ``timeout_s`` (validated through
     ``TimeoutPolicy``) bounds each attempt via ``asyncio.wait_for``.
-4.  Completion folds the worker's fresh tuner-cache entries into the
-    daemon's job-scoped memo (seeded into later jobs), registers the
-    run with the cache, and wakes long-pollers.
+4.  Completion registers the run with the cache and wakes
+    long-pollers.  No tuner state comes back: each reused pool worker
+    keeps its own exact tuner memo.
 
 Service metrics land in a :class:`~repro.obs.metrics.MetricsRegistry`
 (`serve.submitted`, `serve.completed`, `serve.cache` hit/miss,
@@ -140,7 +140,6 @@ class JobDaemon:
 
         self._queue = PriorityJobQueue()
         self._jobs: Dict[str, Job] = {}
-        self._tuner_state: Dict[tuple, dict] = {}
         self._executor = None
         self._scheduler_task: Optional[asyncio.Task] = None
         self._wakeup: Optional[asyncio.Event] = None
@@ -629,14 +628,7 @@ class JobDaemon:
                 try:
                     reply = await self._execute(
                         execute_job,
-                        {
-                            "spec": spec,
-                            "tuner_state": (
-                                dict(self._tuner_state)
-                                if self.executor_kind == "process"
-                                else None
-                            ),
-                        },
+                        {"spec": spec},
                         timeout=job.request.timeout_s,
                     )
                 except asyncio.TimeoutError:
@@ -682,18 +674,6 @@ class JobDaemon:
             self._job_traces.append(
                 {"correlation_id": job.job_id, "snapshot": reply["trace"]}
             )
-        fresh = reply.get("tuner_state") or {}
-        for key, payload in fresh.items():
-            slot = self._tuner_state.get(key)
-            if slot is None:
-                self._tuner_state[key] = payload
-                continue
-            # Merge at cache-entry granularity: two jobs can each add
-            # different evaluations for the same (platform, n, noise).
-            for entry_key, value in payload["cache"].items():
-                slot["cache"].setdefault(entry_key, value)
-            if slot.get("cpu_fallback") is None:
-                slot["cpu_fallback"] = payload.get("cpu_fallback")
         # The run's own manifest.write already appended the index line;
         # registering it here just saves the next lookup a re-read.
         if outcome.get("cache_key") and outcome.get("manifest_path"):

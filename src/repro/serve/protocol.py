@@ -216,17 +216,20 @@ def validate_request(data: object) -> JobRequest:
     )
 
     check_model = data.get("check_model")
-    if check_model is True:
-        from repro.core.model.oracle import DEFAULT_RESIDUAL_BAND
-
-        check_model = DEFAULT_RESIDUAL_BAND
-    elif check_model is False:
+    if check_model is False:
         check_model = None
     if check_model is not None:
+        from repro.core.model.oracle import (
+            DEFAULT_RESIDUAL_BAND,
+            is_residual_band,
+        )
+
+        if check_model is True:
+            check_model = DEFAULT_RESIDUAL_BAND
         _require(
-            _is_number(check_model) and check_model > 0,
-            f"check_model must be true or a positive residual band, "
-            f"got {data.get('check_model')!r}",
+            is_residual_band(check_model),
+            f"check_model must be true or a finite positive residual "
+            f"band, got {data.get('check_model')!r}",
         )
         check_model = float(check_model)
 
@@ -251,7 +254,9 @@ def validate_request(data: object) -> JobRequest:
     from repro.errors import FaultInjectionError
     from repro.resilience.policies import RetryPolicy, TimeoutPolicy
 
-    retry = data.get("retry") or {}
+    retry = data.get("retry")
+    if retry is None:
+        retry = {}
     _require(isinstance(retry, dict), "retry must be an object")
     retry_unknown = sorted(set(retry) - {"max_retries", "backoff"})
     _require(

@@ -6,9 +6,9 @@ default (clean ambient tracer/resilience state per job, true
 concurrency) or the single-threaded fallback executor.  Everything
 crossing the boundary is picklable: the payload is a plain dict around
 a :class:`~repro.experiments.runner.RunSpec`, and the result is the
-:class:`~repro.experiments.runner.RunOutcome` digest plus the fresh
-tuner-cache entries for the daemon's job-scoped merge-back
-(:func:`repro.experiments.common.export_tuner_state`).
+:class:`~repro.experiments.runner.RunOutcome` digest.  Pool workers are
+reused across jobs, so each keeps its own exact tuner memo warm; no
+tuner state crosses the boundary.
 """
 
 from __future__ import annotations
@@ -80,19 +80,9 @@ def build_spec(
 def execute_job(payload: dict) -> dict:
     """Run one job; the single entry point shipped to the executor.
 
-    ``payload`` carries ``spec`` (a :func:`build_spec` result) and
-    optionally ``tuner_state`` (the daemon's accumulated memo).  The
-    reply carries the outcome digest and the tuner entries this job
-    added — pool workers are reused across jobs, so the baseline
-    snapshot keeps the reply incremental rather than re-shipping the
-    whole warm cache every time.
+    ``payload`` is ``{"spec": spec}`` with a :func:`build_spec` result;
+    the reply carries the outcome digest.
     """
-    from repro.experiments.common import (
-        export_tuner_state,
-        seed_tuner_state,
-        snapshot_tuner_keys,
-    )
-
     spec = payload["spec"]
     log = None
     if spec.log_json:
@@ -102,10 +92,6 @@ def execute_job(payload: dict) -> dict:
             spec.log_json, "worker", correlation_id=spec.correlation_id
         )
         log.event("serve.worker.executing", run_id=spec.run_id)
-    tuner_state = payload.get("tuner_state")
-    if tuner_state:
-        seed_tuner_state(tuner_state)
-    baseline = snapshot_tuner_keys()
     outcome = run_request(spec)
     if log is not None:
         log.event(
@@ -113,10 +99,7 @@ def execute_job(payload: dict) -> dict:
             run_id=outcome.run_id,
             cache_key=outcome.cache_key,
         )
-    reply = {
-        "outcome": outcome.to_dict(),
-        "tuner_state": export_tuner_state(baseline),
-    }
+    reply = {"outcome": outcome.to_dict()}
     if outcome.trace_snapshot is not None:
         # Shipped separately from the JSON-able digest: the snapshot is
         # picklable row data for the daemon's trace stitcher only.

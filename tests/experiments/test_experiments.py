@@ -33,6 +33,13 @@ class TestRunnerCLI:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize("band", ["inf", "nan", "0", "-1", "wide"])
+    def test_unusable_check_model_band_errors(self, band, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--fast", "table1", "--check-model", band])
+        assert exc.value.code == 2
+        assert "--check-model" in capsys.readouterr().err
+
     def test_json_output(self, capsys):
         import json
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.hpu import PLATFORMS
 from repro.obs.cli import diff_manifests, main
 from repro.obs.index import (
@@ -191,6 +193,16 @@ class TestCli:
         )
         assert code == 1
         assert "warn" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("band", ["inf", "nan", "0", "-1"])
+    def test_check_rejects_unusable_band(self, tmp_path, capsys, band):
+        results = self._write(tmp_path)
+        code = main(
+            ["--results-dir", str(results), "check", "run-a",
+             "--band", band]
+        )
+        assert code == 2
+        assert "--band" in capsys.readouterr().err
 
     def test_check_foreign_block_without_band(self, tmp_path, capsys):
         # A manifest from an older/foreign writer may carry checks but

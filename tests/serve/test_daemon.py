@@ -1,10 +1,10 @@
 """Job daemon behavior: queueing, caching, policies, shutdown.
 
-All daemon tests run on the single-threaded fallback executor — jobs
+Most daemon tests run on the single-threaded fallback executor — jobs
 here are tiny sweeps (milliseconds), and the thread executor keeps the
 suite fast and independent of the container's fork/spawn abilities.
-The process-pool path is covered by the CI service-smoke job and the
-transport round-trip test.
+The process-pool tests at the end cover served-vs-direct identity on
+reused workers and concurrent index appends.
 """
 
 import asyncio
@@ -155,7 +155,7 @@ class TestCancelAndFailure:
             import time
 
             time.sleep(1.0)
-            return {"outcome": {}, "tuner_state": {}}
+            return {"outcome": {}}
 
         monkeypatch.setattr(worker, "execute_job", slow_job)
 
@@ -344,37 +344,54 @@ class TestPriorityJobQueue:
         assert len(queue) == 0
 
 
-class TestTunerMergeBack:
-    def test_absorb_merges_at_entry_granularity(self, tmp_path):
-        """Two jobs adding different evaluations for the same tuner key
-        must both land in the daemon memo (first write wins per entry)."""
-        daemon = JobDaemon(results_dir=tmp_path, executor="thread")
-        job = TestPriorityJobQueue().make_job()
+class TestProcessPoolIdentity:
+    def test_warm_worker_matches_direct_runs(self, tmp_path):
+        """Two sweeps sharing (platform, n, noise) but not their alpha
+        grid run back to back on one reused pool worker, so the second
+        starts from the first's tuner memo.  Each served manifest must
+        equal a direct run of the same spec, under the same key."""
+        from repro.experiments.runner import run_request
+        from repro.obs.cli import diff_manifests
+        from repro.obs.manifest import RunManifest
+        from repro.serve.worker import build_spec
 
-        def reply(entries, cpu_fallback=None):
-            return {
-                "outcome": {
-                    "run_id": "r",
-                    "manifest_path": None,
-                    "report_path": None,
-                    "cache_key": "",
-                },
-                "tuner_state": {
-                    ("HPU1", 4096, 0.015): {
-                        "platform": "HPU1",
-                        "n": 4096,
-                        "noise": 0.015,
-                        "cache": entries,
-                        "cpu_fallback": cpu_fallback,
-                    }
-                },
-            }
+        requests = [
+            tiny_sweep(seed=7, alphas=[0.3, 0.5], include_cpu_fallback=True),
+            tiny_sweep(seed=7, alphas=[0.5, 0.7], include_cpu_fallback=True),
+        ]
 
-        daemon._absorb(job, reply({"a": 1, "b": 2}))
-        daemon._absorb(job, reply({"b": 99, "c": 3}, cpu_fallback=1.5))
-        slot = daemon._tuner_state[("HPU1", 4096, 0.015)]
-        assert slot["cache"] == {"a": 1, "b": 2, "c": 3}
-        assert slot["cpu_fallback"] == 1.5
+        async def body():
+            daemon = JobDaemon(
+                results_dir=tmp_path / "served",
+                concurrency=1,
+                executor="process",
+            )
+            await daemon.start()
+            try:
+                jobs = []
+                for request in requests:
+                    job = await daemon.submit(request)
+                    jobs.append(await daemon.wait(job.job_id, timeout=300))
+                return jobs
+            finally:
+                await daemon.shutdown()
+
+        jobs = asyncio.run(body())
+        assert [j.state for j in jobs] == [DONE, DONE]
+        assert not any(j.cache_hit for j in jobs)
+        for i, job in enumerate(jobs):
+            direct = run_request(
+                build_spec(
+                    job.canonical,
+                    job.request,
+                    results_dir=str(tmp_path / "direct"),
+                    run_id=f"direct-{i}",
+                )
+            )
+            assert job.cache_key == direct.cache_key
+            served_manifest = RunManifest.load(job.manifest_path)
+            direct_manifest = RunManifest.load(direct.manifest_path)
+            assert diff_manifests(served_manifest, direct_manifest) == []
 
 
 class TestConcurrentMixedJobs:

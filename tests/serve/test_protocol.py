@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.model.oracle import DEFAULT_RESIDUAL_BAND
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     JobRequest,
@@ -169,15 +170,39 @@ class TestJobPolicies:
             ({"retry": {"backoff": float("inf")}}, "backoff"),
             ({"retry": {"backoff": float("nan")}}, "backoff"),
             ({"timeout_s": float("inf")}, "timeout_s"),
+            ({"retry": False}, "retry must be an object"),
+            ({"retry": 0}, "retry must be an object"),
+            ({"retry": ""}, "retry must be an object"),
+            ({"retry": []}, "retry must be an object"),
+            ({"retry": 3}, "retry must be an object"),
         ],
     )
     def test_policy_of_wrong_type_rejected(self, bad, field):
         with pytest.raises(ProtocolError, match=field):
             validate_request(figure(**bad))
 
+    def test_null_retry_means_no_retries(self):
+        assert validate_request(figure(retry=None)).retry == {}
+
     def test_unknown_retry_field_rejected(self):
         with pytest.raises(ProtocolError, match="unknown retry field"):
             validate_request(figure(retry={"jitter": 0.1}))
+
+
+class TestCheckModel:
+    @pytest.mark.parametrize(
+        "value,band",
+        [(True, DEFAULT_RESIDUAL_BAND), (False, None), (None, None), (0.25, 0.25)],
+    )
+    def test_usable_values_accepted(self, value, band):
+        assert validate_request(figure(check_model=value)).check_model == band
+
+    @pytest.mark.parametrize(
+        "band", [float("inf"), float("nan"), 0, -1, "0.5", [0.5]]
+    )
+    def test_unusable_band_rejected(self, band):
+        with pytest.raises(ProtocolError, match="check_model"):
+            validate_request(figure(check_model=band))
 
 
 class TestFraming:

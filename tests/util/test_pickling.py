@@ -1,10 +1,11 @@
 """Value types that cross process boundaries must pickle faithfully.
 
-The serve daemon runs each job in a process-pool worker and ships the
-worker's fresh tuner memos back (``export_tuner_state``): keys carry a
-:class:`~repro.util.rng.NoiseModel`, values carry run results.  These
-tests pin the round-trip per object class so a future unpicklable or
-unhashable field fails here rather than deep inside a served job.
+The serve daemon runs each job in a process-pool worker: the job's
+:class:`~repro.experiments.runner.RunSpec` and reply cross the process
+boundary, and each worker's tuner memo keys on a
+:class:`~repro.util.rng.NoiseModel`.  These tests pin the round-trip
+per object class so a future unpicklable or unhashable field fails
+here rather than deep inside a served job.
 """
 
 import pickle
