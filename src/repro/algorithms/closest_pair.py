@@ -11,14 +11,19 @@ the minimum pairwise distance within the range.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.spec import DCSpec
 from repro.errors import SpecError
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 
 def brute_force_closest(points: np.ndarray) -> float:
     """Θ(n²) reference (and base case for small ranges)."""
+    import numpy as np
+
     if points.shape[0] < 2:
         return float("inf")
     diff = points[:, None, :] - points[None, :, :]
@@ -29,6 +34,8 @@ def brute_force_closest(points: np.ndarray) -> float:
 
 def closest_pair(points: np.ndarray) -> float:
     """Direct D&C implementation (the sequential baseline)."""
+    import numpy as np
+
     pts = _validated(points)
     order = np.argsort(pts[:, 0], kind="stable")
     return _closest(pts[order])
@@ -46,6 +53,8 @@ def _closest(pts: np.ndarray) -> float:
 
 def strip_best(pts: np.ndarray, mid_x: float, best: float) -> float:
     """Scan the vertical strip of half-width ``best`` around ``mid_x``."""
+    import numpy as np
+
     strip = pts[np.abs(pts[:, 0] - mid_x) < best]
     strip = strip[np.argsort(strip[:, 1], kind="stable")]
     m = strip.shape[0]
@@ -64,6 +73,7 @@ def closest_pair_spec() -> DCSpec:
     Subproblem solutions carry ``(min_distance, points)`` so the
     combine step can run its strip scan.
     """
+    import numpy as np
 
     def combine(subs, points: np.ndarray):
         (d_left, left), (d_right, right) = subs
@@ -89,6 +99,8 @@ def closest_pair_spec() -> DCSpec:
 
 def closest_pair_via_spec(points: np.ndarray) -> float:
     """Convenience: run the spec through the recursive executor."""
+    import numpy as np
+
     from repro.core.recursive import run_recursive
 
     pts = _validated(points)
@@ -98,6 +110,8 @@ def closest_pair_via_spec(points: np.ndarray) -> float:
 
 
 def _validated(points: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise SpecError(

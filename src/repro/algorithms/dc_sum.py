@@ -9,15 +9,16 @@ the time is level overhead — a useful stress case for the schedulers.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.schedule.workload import LEAVES, DCWorkload, KernelStep, LevelRef
 from repro.core.spec import DCSpec
 from repro.errors import SpecError
 from repro.opencl.kernel import AccessPattern, Kernel
 from repro.util.intmath import ilog2, is_power_of_two
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def sum_spec() -> DCSpec:
@@ -38,6 +39,8 @@ def sum_spec() -> DCSpec:
 
 def sum_recursive(array: np.ndarray):
     """Algorithm 4 executed directly (the sequential baseline)."""
+    import numpy as np
+
     view = np.asarray(array)
     if view.size == 0:
         raise SpecError("cannot sum an empty array")
@@ -88,6 +91,8 @@ def gpu_sum_host_program(hpu, array: np.ndarray):
     reduction runs on one device — see :class:`SumHost` for why the
     *hybrid* path uses the offset layout instead.
     """
+    import numpy as np
+
     from repro.opencl.queue import CommandQueue
     from repro.sim import AllOf, Simulator
 
@@ -131,6 +136,8 @@ class SumHost:
     """
 
     def __init__(self, array: np.ndarray) -> None:
+        import numpy as np
+
         data = np.array(array)
         if data.ndim != 1 or not is_power_of_two(max(data.size, 1)):
             raise SpecError(

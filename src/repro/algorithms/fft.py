@@ -12,15 +12,20 @@ Solutions are complex spectra; the reference is ``numpy.fft.fft``.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.spec import DCSpec
 from repro.errors import SpecError
 from repro.util.intmath import is_power_of_two
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 
 def fft_recursive(signal: np.ndarray) -> np.ndarray:
     """Direct radix-2 Cooley–Tukey (the sequential baseline)."""
+    import numpy as np
+
     data = np.asarray(signal, dtype=np.complex128)
     if data.ndim != 1 or not is_power_of_two(max(data.size, 1)):
         raise SpecError(
@@ -42,6 +47,8 @@ def fft_recursive(signal: np.ndarray) -> np.ndarray:
 
 def butterfly(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """One radix-2 DIT butterfly pass combining two half-spectra."""
+    import numpy as np
+
     size = even.size + odd.size
     twiddle = np.exp(-2j * np.pi * np.arange(size // 2) / size) * odd
     return np.concatenate([even + twiddle, even - twiddle])
@@ -53,6 +60,7 @@ def fft_spec() -> DCSpec:
     The divide is the even/odd interleave; the combine is the butterfly
     pass (one twiddle multiply and two adds per output pair).
     """
+    import numpy as np
 
     def divide(view: np.ndarray):
         return (view[0::2], view[1::2])

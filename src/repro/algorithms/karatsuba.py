@@ -11,24 +11,29 @@ their product polynomial's coefficients.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from repro.core.spec import DCSpec
 from repro.errors import SpecError
 from repro.util.intmath import is_power_of_two
 
-Problem = Tuple[np.ndarray, np.ndarray]
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+Problem = Tuple["np.ndarray", "np.ndarray"]
 
 
 def schoolbook_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Θ(n²) reference product (also the base case)."""
+    import numpy as np
+
     return np.convolve(a, b)
 
 
 def karatsuba_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Direct Karatsuba implementation (the sequential baseline)."""
+    import numpy as np
+
     a = np.asarray(a)
     b = np.asarray(b)
     _validate(a, b)
@@ -54,6 +59,7 @@ def karatsuba_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def karatsuba_spec() -> DCSpec:
     """Karatsuba through the generic framework: a=3, b=2, f(n)=Θ(n)."""
+    import numpy as np
 
     def divide(problem: Problem):
         x, y = problem

@@ -19,15 +19,16 @@ from the balanced family.  (Strassen, the *fast* D&C product, lives in
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from repro.core.spec import DCSpec
 from repro.errors import SpecError
 from repro.util.intmath import is_power_of_two
 
-Problem = Tuple[np.ndarray, np.ndarray]
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+Problem = Tuple["np.ndarray", "np.ndarray"]
 
 #: Dimension at which recursion bottoms out into a direct product.
 BASE_DIM = 2
@@ -35,6 +36,8 @@ BASE_DIM = 2
 
 def matmul_recursive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Direct recursive implementation (the sequential baseline)."""
+    import numpy as np
+
     _validate(a, b)
 
     def recurse(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -83,6 +86,8 @@ def divide_step(x: np.ndarray, y: np.ndarray):
 
 def combine_step(subs) -> np.ndarray:
     """Assemble one product from its eight quadrant-product solutions."""
+    import numpy as np
+
     h = subs[0].shape[0]
     out = np.empty((2 * h, 2 * h), dtype=subs[0].dtype)
     out[:h, :h] = subs[0] + subs[1]

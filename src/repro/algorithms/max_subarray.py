@@ -8,12 +8,15 @@ from the array-rewriting merges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from dataclasses import dataclass
 
 from repro.core.spec import DCSpec
 from repro.errors import SpecError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ def _merge(left: SubarraySummary, right: SubarraySummary) -> SubarraySummary:
 
 def max_subarray(array: np.ndarray) -> float:
     """Kadane-style reference: max sum over non-empty subarrays."""
+    import numpy as np
+
     data = np.asarray(array, dtype=float)
     if data.ndim != 1 or data.size == 0:
         raise SpecError(

@@ -9,11 +9,14 @@ size-1 sublist is trivially sorted), so only the combine loop remains
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.algorithms.mergesort.merges import merge_pairs_level
 from repro.algorithms.mergesort.recursive import require_power_of_two
 from repro.errors import SpecError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def mergesort_bf(array: np.ndarray, strict: bool = False) -> np.ndarray:
@@ -22,6 +25,8 @@ def mergesort_bf(array: np.ndarray, strict: bool = False) -> np.ndarray:
     ``strict=True`` uses the verifying merge path (tests); the default
     uses the vectorized fast path.
     """
+    import numpy as np
+
     data = np.asarray(array)
     if data.ndim != 1:
         raise SpecError(f"mergesort expects a 1-D array, got shape {data.shape}")

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.algorithms.mergesort.merges import merge_pairs_level
 from repro.algorithms.mergesort.recursive import require_power_of_two
@@ -32,6 +30,9 @@ from repro.hpu.hpu import HPU
 from repro.opencl.kernel import AccessPattern
 from repro.util.intmath import ilog2
 from repro.util.rng import NO_NOISE, NoiseModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass
@@ -249,6 +250,8 @@ def hybrid_mergesort(
     kernels).  ``alpha``/``transfer_level`` override the model's
     optimum; ``leaf_block`` enables the §7 sequential tail.
     """
+    import numpy as np
+
     host = MergesortHost(np.array(array), strict=strict, leaf_block=leaf_block)
     workload = make_mergesort_workload(
         host.array.size, host=host, coalesce=coalesce, leaf_block=leaf_block

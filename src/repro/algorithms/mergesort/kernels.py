@@ -21,7 +21,8 @@ device buffer contents; ``args`` carry the launch geometry.
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from typing import TYPE_CHECKING
 
 from repro.algorithms.mergesort.merges import (
     merge_binary_search,
@@ -29,6 +30,9 @@ from repro.algorithms.mergesort.merges import (
     merge_two_pointer,
 )
 from repro.opencl.kernel import AccessPattern, Kernel
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def sublist_merge_kernel(
@@ -104,7 +108,8 @@ def binary_search_merge_kernel(array: np.ndarray, size: int) -> Kernel:
     ``log2(size/2) + 1`` ops of uniform control flow.
 
     ``args`` at launch: ``{"offset": first pair, "pairs": count}``;
-    the NDRange covers ``pairs * size`` work-items.
+    the NDRange covers ``pairs * size`` work-items.  The run sizes are
+    powers of two, whose ``log2`` is exact.
     """
     half = size // 2
 
@@ -116,6 +121,8 @@ def binary_search_merge_kernel(array: np.ndarray, size: int) -> Kernel:
             row[:] = merge_binary_search(row[:half].copy(), row[half:].copy())
 
     def scalar_fn(gid: int, args) -> None:
+        import numpy as np
+
         snapshot = args["snapshot"]
         offset = args.get("offset", 0)
         pair, idx = divmod(gid, size)
@@ -132,7 +139,7 @@ def binary_search_merge_kernel(array: np.ndarray, size: int) -> Kernel:
 
     return Kernel(
         name=f"bsmerge[size={size}]",
-        ops_per_item=lambda args: float(np.log2(max(half, 2)) + 1.0),
+        ops_per_item=lambda args: math.log2(max(half, 2)) + 1.0,
         vector_fn=vector_fn,
         scalar_fn=scalar_fn,
         divergent=False,

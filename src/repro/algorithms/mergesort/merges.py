@@ -19,9 +19,12 @@ Three implementations with one contract, used at different points:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ScheduleError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def merge_two_pointer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -30,6 +33,8 @@ def merge_two_pointer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     Cost model: ``len(left) + len(right)`` abstract ops — the paper's
     ``f(n) = Θ(n)`` for mergesort.
     """
+    import numpy as np
+
     out = np.empty(left.size + right.size, dtype=np.result_type(left, right))
     i = j = k = 0
     while i < left.size and j < right.size:
@@ -55,6 +60,8 @@ def merge_binary_search(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     ``right``.  Each position is independent — one GPU work-item per
     element, ``Θ(log n)`` ops each.
     """
+    import numpy as np
+
     out = np.empty(left.size + right.size, dtype=np.result_type(left, right))
     # left elements: count of strictly-smaller right elements
     pos_left = np.arange(left.size) + np.searchsorted(right, left, side="left")
@@ -79,6 +86,8 @@ def merge_pairs_level(
     The default fast path is a vectorized row sort, which produces the
     identical output for genuinely sorted halves.
     """
+    import numpy as np
+
     if size < 2 or size % 2:
         raise ScheduleError(f"pair-merge size must be even and >= 2, got {size}")
     if flat.size % size:

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.mergesort.kernels import binary_search_merge_kernel
 from repro.algorithms.mergesort.recursive import require_power_of_two
 from repro.hpu.hpu import HPU
 from repro.opencl.device import GPUDevice
 from repro.util.intmath import ilog2
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,7 @@ def parallel_gpu_mergesort(
     sort_time = 0.0
     for level in range(k):  # bottom-up: runs of size 2, 4, ..., n
         size = 2 << level
-        data = array if array is not None else np.empty(0, dtype=np.int64)
-        kernel = binary_search_merge_kernel(data, size)
+        kernel = binary_search_merge_kernel(array, size)
         ndrange = device.default_ndrange(n)  # one item per element
         if array is not None:
             sort_time += device.launch(kernel, ndrange, {"offset": 0})

@@ -9,16 +9,21 @@ claim in miniature.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.algorithms.mergesort.merges import merge_two_pointer
 from repro.core.spec import DCSpec
 from repro.errors import SpecError
 from repro.util.intmath import is_power_of_two
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 
 def mergesort_recursive(array: np.ndarray) -> np.ndarray:
     """Sort a copy of ``array`` with the textbook recursive mergesort."""
+    import numpy as np
+
     data = np.asarray(array)
     if data.ndim != 1:
         raise SpecError(f"mergesort expects a 1-D array, got shape {data.shape}")

@@ -17,11 +17,14 @@ a breadth-first translation schedules.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.spec import DCSpec
 from repro.errors import SpecError
 from repro.util.intmath import is_power_of_two
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: Leaf block: ranges of this size are sorted directly (the §7
 #: sequential tail, which also keeps at least one real base phase for
@@ -39,6 +42,8 @@ def quicksort(array: np.ndarray) -> np.ndarray:
     Textbook three-way partition around a middle pivot; returns a new
     sorted array, leaving the input untouched.
     """
+    import numpy as np
+
     data = np.asarray(array)
     if data.ndim != 1:
         raise SpecError(
@@ -63,6 +68,8 @@ def median_partition(block: np.ndarray) -> None:
     ``block[:h]`` no greater than every element of ``block[h:]`` — the
     exact-median pivot that keeps the recursion tree regular.
     """
+    import numpy as np
+
     h = block.shape[0] // 2
     block[:] = np.partition(block, h)
 
@@ -73,6 +80,7 @@ def quicksort_spec() -> DCSpec:
     a = b = 2 with ``f(n) = Θ(n)`` charged to the *divide*; the combine
     is the trivial concatenation of the already-ordered halves.
     """
+    import numpy as np
 
     def divide(arr: np.ndarray):
         h = arr.shape[0] // 2
@@ -95,6 +103,8 @@ def quicksort_spec() -> DCSpec:
 
 def quicksort_via_spec(array: np.ndarray) -> np.ndarray:
     """Convenience: run the spec through the recursive executor."""
+    import numpy as np
+
     from repro.core.recursive import run_recursive
 
     data = np.asarray(array)

@@ -7,15 +7,16 @@ Problems are matrix pairs; ``size`` is the matrix dimension ``n``.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from repro.core.spec import DCSpec
 from repro.errors import SpecError
 from repro.util.intmath import is_power_of_two
 
-Problem = Tuple[np.ndarray, np.ndarray]
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+Problem = Tuple["np.ndarray", "np.ndarray"]
 
 #: Below this dimension, fall back to the classical product.
 BASE_DIM = 2
@@ -23,6 +24,8 @@ BASE_DIM = 2
 
 def strassen_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Direct Strassen implementation (the sequential baseline)."""
+    import numpy as np
+
     _validate(a, b)
 
     def recurse(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -67,6 +70,8 @@ def divide_step(x: np.ndarray, y: np.ndarray):
 
 def combine_step(subs) -> np.ndarray:
     """Assemble one product from its seven subproblem solutions."""
+    import numpy as np
+
     m1, m2, m3, m4, m5, m6, m7 = subs
     h = m1.shape[0]
     out = np.empty((2 * h, 2 * h), dtype=m1.dtype)

@@ -14,25 +14,33 @@ Subpackages
 - :mod:`repro.core.calibrate` — Section 6.4's estimation of g and γ.
 """
 
-from repro.core.autotune import AutoTuner, TunedPoint
-from repro.core.breadthfirst import BreadthFirstRun, run_breadth_first
-from repro.core.generic_host import GenericDCHost, run_hybrid
-from repro.core.gpu_adapter import make_level_kernel
-from repro.core.recursion_tree import LevelInfo, RecursionTree
-from repro.core.recursive import RecursiveRun, run_recursive
-from repro.core.spec import DCSpec
+import importlib
 
-__all__ = [
-    "DCSpec",
-    "run_recursive",
-    "RecursiveRun",
-    "run_breadth_first",
-    "BreadthFirstRun",
-    "run_hybrid",
-    "GenericDCHost",
-    "AutoTuner",
-    "TunedPoint",
-    "make_level_kernel",
-    "RecursionTree",
-    "LevelInfo",
-]
+# Public name -> defining submodule.  Resolved on first attribute access
+# (PEP 562), so importing one submodule does not load its siblings -- a
+# model-only run never loads the executor or the auto-tuner.
+_EXPORTS = {
+    "DCSpec": "spec",
+    "run_recursive": "recursive",
+    "RecursiveRun": "recursive",
+    "run_breadth_first": "breadthfirst",
+    "BreadthFirstRun": "breadthfirst",
+    "run_hybrid": "generic_host",
+    "GenericDCHost": "generic_host",
+    "AutoTuner": "autotune",
+    "TunedPoint": "autotune",
+    "make_level_kernel": "gpu_adapter",
+    "RecursionTree": "recursion_tree",
+    "LevelInfo": "recursion_tree",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

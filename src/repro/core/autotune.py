@@ -14,9 +14,7 @@ The Fig. 8/10 experiment sweeps are thin wrappers over this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.schedule.advanced import AdvancedSchedule
 from repro.core.schedule.executor import HybridRunResult, ScheduleExecutor
@@ -24,6 +22,7 @@ from repro.core.schedule.workload import DCWorkload
 from repro.errors import ScheduleError
 from repro.hpu.hpu import HPU
 from repro.obs.tracer import active as _obs_active
+from repro.util.grids import arange, round_all, round_decimals
 from repro.util.rng import NO_NOISE, NoiseModel
 
 
@@ -77,11 +76,11 @@ class AutoTuner:
         self.executor_runs = 0
 
     # ------------------------------------------------------------------
-    def default_alphas(self, step: float = 0.02) -> np.ndarray:
+    def default_alphas(self, step: float = 0.02) -> List[float]:
         """The α grid of the paper's sweeps."""
         if not 0.0 < step < 0.5:
             raise ScheduleError(f"alpha step must be in (0, 0.5), got {step!r}")
-        return np.round(np.arange(step, 0.5, step), 6)
+        return round_all(arange(step, 0.5, step), 6)
 
     def default_levels(self, span: int = 12) -> range:
         """Transfer levels from ``span`` above the leaves to the leaves."""
@@ -277,8 +276,9 @@ class AutoTuner:
         y0 = plan.transfer_level
         alphas = [
             a
-            for a in np.round(
-                alpha0 + np.arange(-spread, spread + 1) * 0.04, 6
+            for a in (
+                round_decimals(alpha0 + i * 0.04, 6)
+                for i in range(-spread, spread + 1)
             )
             if 0.0 < a < 1.0
         ]

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
-
-import numpy as np
+from typing import Callable, List, Sequence, Tuple
 
 from repro.core.model.context import ModelContext
 from repro.errors import ModelError
+from repro.util.grids import linspace
 from repro.util.intmath import log_base
 
 
@@ -123,6 +122,21 @@ def _fminbound(
     return xf, fx
 
 
+def _interp_unit_grid(x: float, fp: Sequence[float]) -> float:
+    """``np.interp(x, [0, 1, ..., k], fp)`` for ``0 <= x <= k``.
+
+    numpy's rules on a unit-spaced grid: an exact grid hit (and the
+    right edge) returns that point's value; otherwise the segment
+    ``j = floor(x)`` gives ``(fp[j+1] - fp[j]) * (x - j) + fp[j]``.
+    """
+    j = int(x)
+    if j >= len(fp) - 1:
+        return fp[-1]
+    if j == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) * (x - j) + fp[j]
+
+
 @dataclass(frozen=True)
 class AdvancedSolution:
     """An optimized advanced-schedule operating point."""
@@ -155,25 +169,24 @@ class AdvancedModel:
         self._curve_cache = (float("nan"), None, None)
 
     def _arrays(self):
-        """(tasks, cost, work-prefix, 0..k) in descending-level order.
+        """(tasks, cost, work-prefix) lists in descending-level order.
 
         Index ``m`` of the first two corresponds to level ``j = k-1-m``
         (the order both :meth:`tc` and :meth:`_gpu_curves` walk levels);
         ``acc[m]`` is the leaf work plus the work of the ``m`` highest
-        levels, accumulated left to right exactly like the scalar loop
-        (``np.cumsum`` adds sequentially, so the sums are bit-equal).
+        levels, accumulated left to right exactly like the scalar loop.
         """
         cached = self._desc
         if cached is None:
             ctx = self.ctx
-            lt = np.array(ctx.level_tasks[::-1], dtype=float)
-            lc = np.array(ctx.level_cost[::-1], dtype=float)
-            work = np.empty(ctx.k + 1)
-            work[0] = ctx.num_leaves * ctx.leaf_cost
-            np.multiply(lt, lc, out=work[1:])
-            cached = self._desc = (
-                lt, lc, np.cumsum(work), np.arange(ctx.k + 1, dtype=float)
-            )
+            lt = [float(t) for t in reversed(ctx.level_tasks)]
+            lc = [float(c) for c in reversed(ctx.level_cost)]
+            total = float(ctx.num_leaves * ctx.leaf_cost)
+            acc = [total]
+            for t, c in zip(lt, lc):
+                total += t * c
+                acc.append(total)
+            cached = self._desc = (lt, lc, acc)
         return cached
 
     # ------------------------------------------------------------------
@@ -207,7 +220,7 @@ class AdvancedModel:
         ctx = self.ctx
         L = self.cpu_stop_level(alpha)
         k = ctx.k
-        lt, lc, acc, _ = self._arrays()
+        lt, lc, acc = self._arrays()
         ceil_L = math.ceil(L)
         total = acc[k - ceil_L]
         if ceil_L >= 1:
@@ -223,10 +236,10 @@ class AdvancedModel:
     # ------------------------------------------------------------------
     # GPU side
     # ------------------------------------------------------------------
-    def _gpu_curves(self, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    def _gpu_curves(self, alpha: float) -> Tuple[List[float], List[float]]:
         """Cumulative bottom-up GPU (time, work) at integer stop levels.
 
-        Returns arrays ``G`` and ``V`` of length ``k + 1`` where index
+        Returns lists ``G`` and ``V`` of length ``k + 1`` where index
         ``j`` is the time/work for the GPU to execute the leaves plus
         all internal levels ``i >= j`` of its ``1 − α`` fraction.
         ``G[k]`` is the leaf batch alone; ``G[0]`` the whole subtree.
@@ -237,21 +250,22 @@ class AdvancedModel:
         ctx = self.ctx
         share = 1.0 - alpha
         g, gamma = ctx.params.g, ctx.params.gamma
-        k = ctx.k
-        lt, lc, _, _ = self._arrays()  # descending order: j = k-1 .. 0
+        lt, lc, _ = self._arrays()  # descending order: j = k-1 .. 0
         leaf_tasks = share * ctx.num_leaves
-        # Accumulate bottom-up (leaf term first, then levels k-1 .. 0,
-        # the same per-term arithmetic and addition order as the scalar
-        # recurrence) and flip, so index j reads ascending.
-        gbuf = np.empty(k + 1)
-        vbuf = np.empty(k + 1)
-        gbuf[0] = max(leaf_tasks / g, 1.0) * ctx.leaf_cost / gamma
-        vbuf[0] = leaf_tasks * ctx.leaf_cost
-        tasks = share * lt
-        gbuf[1:] = np.maximum(tasks / g, 1.0) * lc / gamma
-        vbuf[1:] = tasks * lc
-        G = np.cumsum(gbuf)[::-1]
-        V = np.cumsum(vbuf)[::-1]
+        # Accumulate bottom-up (leaf term first, then levels k-1 .. 0)
+        # and flip, so index j reads ascending.
+        g_run = max(leaf_tasks / g, 1.0) * ctx.leaf_cost / gamma
+        v_run = leaf_tasks * ctx.leaf_cost
+        G = [g_run]
+        V = [v_run]
+        for t, c in zip(lt, lc):
+            tasks = share * t
+            g_run += max(tasks / g, 1.0) * c / gamma
+            v_run += tasks * c
+            G.append(g_run)
+            V.append(v_run)
+        G.reverse()
+        V.reverse()
         self._curve_cache = (alpha, G, V)
         return G, V
 
@@ -272,85 +286,86 @@ class AdvancedModel:
             # GPU cannot even finish its leaf batch in time; it completes
             # a proportional share of it.
             return V[k] * target / G[k]
-        y = self._invert_curve(G, target)
-        return float(np.interp(y, self._arrays()[3], V))
+        return _interp_unit_grid(self._invert_curve(G, target), V)
 
-    def _works_on_grid(self, alphas: np.ndarray) -> np.ndarray:
-        """:meth:`gpu_work` across a grid of α, batching the curves.
+    def _works_on_grid(self, alphas: Sequence[float]) -> List[float]:
+        """:meth:`gpu_work` across a grid of α, one bottom-up walk each.
 
-        The per-α curve construction is hoisted into one matrix pass:
-        every element undergoes the exact elementwise operations of
-        :meth:`_gpu_curves` and ``np.cumsum(axis=1)`` accumulates each
-        row sequentially, so row ``i`` is bit-equal to
-        ``_gpu_curves(alphas[i])``.  The inversion/interpolation tail
-        reuses the scalar helpers on row views.  Callers guarantee every
-        α is admissible (tc still validates).
+        Computes ``T_c(α)`` first (the arithmetic of :meth:`tc`, with
+        :meth:`cpu_stop_level` inlined), then climbs the GPU curve of
+        :meth:`_gpu_curves` from the leaf batch only until it reaches
+        ``T_c``: the partial sums are the same additions in the same
+        order, so every visited point equals the full curve's, and a
+        scan of 512 α costs what the array version did.  The bracketing
+        segment is the deepest level with ``G >= T_c``.  ``y`` is then
+        interpolated by the grid scan's floor/clip rule, which differs
+        from :meth:`gpu_work`'s ``np.interp`` rule where ``y`` rounds up
+        to the segment's upper end: there the work is read at that
+        point, or at the last segment extrapolated from the one below.
+        The pinned ``optimize()`` results depend on that rule.  Callers
+        guarantee every α is admissible; the extremes are validated.
         """
+        if not alphas:
+            return []
+        self._check_alpha(min(alphas))
+        self._check_alpha(max(alphas))
         ctx = self.ctx
         k = ctx.k
-        g, gamma = ctx.params.g, ctx.params.gamma
-        lt, lc, acc, _ = self._arrays()
-        shares = 1.0 - alphas
-        n = len(alphas)
-        gbuf = np.empty((n, k + 1))
-        vbuf = np.empty((n, k + 1))
-        leaf_tasks = shares * ctx.num_leaves
-        gbuf[:, 0] = np.maximum(leaf_tasks / g, 1.0) * ctx.leaf_cost / gamma
-        vbuf[:, 0] = leaf_tasks * ctx.leaf_cost
-        tasks = shares[:, None] * lt
-        gbuf[:, 1:] = np.maximum(tasks / g, 1.0) * lc / gamma
-        vbuf[:, 1:] = tasks * lc
-        Gm = np.cumsum(gbuf, axis=1)[:, ::-1]
-        Vm = np.cumsum(vbuf, axis=1)[:, ::-1]
-        # T_c per α: the closed form of tc(), vectorized.  math.ceil
-        # and np.ceil agree exactly on these levels; the partial term
-        # keeps the scalar association (lt·lc)·(⌈L⌉ − L) and is added
-        # last, and alphas·totals/p matches the scalar (α·total)/p.
-        Ls = np.empty(n)
-        for i in range(n):
-            Ls[i] = self.cpu_stop_level(float(alphas[i]))
-        ceils = np.ceil(Ls)
-        idx = k - ceils.astype(np.int64)
-        totals = acc[idx]
-        partial = ceils >= 1.0
-        pm = idx[partial]
-        totals[partial] = (
-            totals[partial] + lt[pm] * lc[pm] * (ceils[partial] - Ls[partial])
-        )
-        targets = alphas * totals / ctx.params.p
-        works = np.empty(n)
-        Gk = Gm[:, k]  # leaf-batch-only time, == gbuf[:, 0]
-        leaf = targets <= Gk
-        if leaf.any():
-            works[leaf] = Vm[leaf, k] * targets[leaf] / Gk[leaf]
-        rest = np.nonzero(~leaf)[0]
-        if len(rest):
-            Gr = Gm[rest]
-            Vr = Vm[rest]
-            tr = targets[rest]
-            # _invert_curve, vectorized: on the strictly decreasing G
-            # the bracketing segment index is the number of curve points
-            # with G >= target minus one, clamped to [0, k-1] — exactly
-            # what the scalar searchsorted computes.
-            j = np.count_nonzero(Gr >= tr[:, None], axis=1) - 1
-            np.clip(j, 0, k - 1, out=j)
-            rows = np.arange(len(rest))
-            g_hi = Gr[rows, j]
-            g_lo = Gr[rows, j + 1]
-            ys = j + (g_hi - tr) / (g_hi - g_lo)
-            top = tr >= Gr[:, 0]
-            if top.any():
-                ys[top] = 0.0  # the scalar early-out for target >= G(0)
-            # np.interp on xp = 0..k with unit spacing: slope is
-            # ΔV / 1.0 (an exact identity division) and an exact grid
-            # hit (frac == 0) reduces to V[j] since slope·0.0 adds +0.0.
-            # targets in this branch exceed G[k], so ys < k strictly
-            # and the right edge never triggers.
-            jj = np.floor(ys).astype(np.int64)
-            np.clip(jj, 0, k - 1, out=jj)
-            frac = ys - jj
-            v_lo = Vr[rows, jj]
-            works[rest] = (Vr[rows, jj + 1] - v_lo) / 1.0 * frac + v_lo
+        p, g, gamma = ctx.params.p, ctx.params.g, ctx.params.gamma
+        log, ceil = math.log, math.ceil
+        log_a = log(ctx.a)
+        k_float = float(k)
+        lt, lc, acc = self._arrays()
+        level_work = [t * c for t, c in zip(lt, lc)]
+        levels = [(k - 1 - m, lt[m], lc[m]) for m in range(k)]
+        num_leaves, leaf_cost = ctx.num_leaves, ctx.leaf_cost
+        works = []
+        append = works.append
+        for alpha in alphas:
+            # T_c(alpha): cpu_stop_level() and tc() inlined (their
+            # min/max as comparisons, same results).
+            L = log(p / alpha) / log_a
+            if L < 0.0:
+                L = 0.0
+            elif L > k_float:
+                L = k_float
+            ceil_L = ceil(L)
+            m = k - ceil_L
+            target = acc[m]
+            if ceil_L >= 1:
+                target = target + level_work[m] * (ceil_L - L)
+            target = alpha * target / p
+            # The GPU curve from the leaf batch up, until it reaches T_c.
+            share = 1.0 - alpha
+            leaf_tasks = share * num_leaves
+            q = leaf_tasks / g
+            if q < 1.0:
+                q = 1.0
+            g_lo = q * leaf_cost / gamma
+            v_lo = leaf_tasks * leaf_cost
+            if target <= g_lo:
+                append(v_lo * target / g_lo)
+                continue
+            for j, t, c in levels:
+                tasks = share * t
+                q = tasks / g
+                if q < 1.0:
+                    q = 1.0
+                g_hi = g_lo + q * c / gamma
+                if g_hi >= target:
+                    v_hi = v_lo + tasks * c
+                    break
+                g_lo = g_hi
+                v_lo += tasks * c
+            else:
+                # T_c > G(0): the GPU finishes its whole subtree (y = 0).
+                append(v_lo)
+                continue
+            y = j + (g_hi - target) / (g_hi - g_lo)
+            if y >= j + 1 and j + 1 <= k - 1:
+                append(v_lo)  # y rounded onto the next grid point
+            else:
+                append((v_lo - v_hi) * (y - j) + v_hi)
         return works
 
     def saturated_at(self, alpha: float, y: float) -> bool:
@@ -360,16 +375,18 @@ class AdvancedModel:
         return tasks >= self.ctx.params.g
 
     # ------------------------------------------------------------------
-    def _invert_curve(self, G: np.ndarray, target: float) -> float:
+    def _invert_curve(self, G: Sequence[float], target: float) -> float:
         """Solve ``G(y) = target`` on the piecewise-linear decreasing G."""
         k = self.ctx.k
         if target >= G[0]:
             return 0.0
         if target <= G[k]:
             return float(k)
-        # G is strictly decreasing in j; find the bracketing segment.
-        j = int(np.searchsorted(-G, -target, side="right")) - 1
-        j = min(max(j, 0), k - 1)
+        # G is decreasing in j; the bracketing segment starts at the
+        # deepest level whose time still reaches the target.
+        j = 0
+        while j < k - 1 and G[j + 1] >= target:
+            j += 1
         g_hi, g_lo = G[j], G[j + 1]
         if g_hi == g_lo:  # pragma: no cover - levels always cost > 0
             return float(j)
@@ -403,16 +420,16 @@ class AdvancedModel:
         if lo >= hi:
             # Degenerate: fewer leaves than CPU cores; nothing to offload.
             return self.solution_at(1.0)
-        alphas = np.linspace(lo, hi, grid)
+        alphas = linspace(lo, hi, grid)
         works = self._works_on_grid(alphas)
-        best = int(works.argmax())
+        best = max(range(grid), key=works.__getitem__)
         bracket_lo = alphas[max(best - 1, 0)]
         bracket_hi = alphas[min(best + 1, grid - 1)]
         alpha_star, neg_work = _fminbound(
             lambda al: -self.gpu_work(al), bracket_lo, bracket_hi, xatol=1e-6
         )
         if -neg_work < works[best]:  # polish made it worse: keep grid point
-            alpha_star = float(alphas[best])
+            alpha_star = alphas[best]
         return self.solution_at(alpha_star)
 
     def solution_at(self, alpha: float) -> AdvancedSolution:

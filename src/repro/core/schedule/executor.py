@@ -18,7 +18,7 @@ of Fig. 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.core.schedule.advanced import AdvancedPlan
 from repro.core.schedule.basic import BasicPlan
@@ -29,13 +29,14 @@ from repro.obs.metrics import label_key as _metric_label_key
 from repro.obs.tracer import active as _obs_active
 from repro.opencl.costmodel import kernel_launch_time
 from repro.opencl.kernel import Kernel, NDRange
-from repro.resilience.guard import ResilienceGuard
-from repro.resilience.policies import ResilienceConfig
-from repro.resilience.runtime import active as _resilience_active
 from repro.sim import AllOf, Resource, Simulator, TeamBatch, Timeout
 from repro.sim.trace import merge_intervals, overlap_merged, time_at_concurrency
+from repro.util.ambient import resilience_session
 from repro.util.intmath import ceil_div
 from repro.util.rng import NO_NOISE, NoiseModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.resilience.policies import ResilienceConfig
 
 
 @dataclass(frozen=True)
@@ -670,7 +671,7 @@ class _Run:
         # without scheduling a single event, so zero-fault runs are
         # bit-identical to guardless ones
         # (tests/resilience/test_differential.py).
-        self._session = _resilience_active()
+        self._session = resilience_session()
         config = executor.resilience
         if config is None and self._session is not None:
             config = self._session.config
@@ -766,11 +767,11 @@ class _Run:
                 )
 
             self.cpu.cores.set_wait_hook(_on_request)
-        self.guard = (
-            ResilienceGuard(config, self.sim, tracer=self.tracer)
-            if config is not None
-            else None
-        )
+        self.guard = None
+        if config is not None:
+            from repro.resilience.guard import ResilienceGuard
+
+            self.guard = ResilienceGuard(config, self.sim, tracer=self.tracer)
         # Core-pool acquisitions only pay the fault check when the plan
         # actually targets the "resource" site (the hook is per-run
         # state: make_devices() built a fresh pool above).

@@ -47,12 +47,12 @@ from repro.cpu.cache import contention_factor
 from repro.obs.tracer import active as _obs_active
 from repro.opencl.costmodel import kernel_launch_time
 from repro.opencl.kernel import NDRange
-from repro.resilience.runtime import active as _resilience_active
 from repro.sim.trace import (
     merge_interval_arrays,
     overlap_merged,
     time_at_concurrency_arrays,
 )
+from repro.util.ambient import resilience_session
 from repro.util.intmath import ceil_div
 
 def macro_enabled(executor) -> bool:
@@ -70,7 +70,7 @@ def macro_enabled(executor) -> bool:
         and executor.resilience is None
         and executor.workload.execute is None
         and _obs_active() is None
-        and _resilience_active() is None
+        and resilience_session() is None
     )
 
 
@@ -96,7 +96,7 @@ class _MacroRun:
         self.gpu_params = executor.hpu.gpu_spec.cost_parameters()
         self.preferred_wg = executor.hpu.gpu_spec.preferred_workgroup
         # Raw busy intervals in DES record order, as parallel flat
-        # start/end lists (finish() feeds them straight into numpy; the
+        # start/end lists (finish() merges them column-wise; the
         # result only ever exposes (start, end) pairs, so tags are not
         # kept).
         self.cpu_starts = []

@@ -6,6 +6,6 @@ resulting tables.  ``fast=True`` coarsens sweeps for CI-speed runs; the
 default reproduces the paper's full parameter ranges.
 """
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.result import ExperimentResult
 
 __all__ = ["ExperimentResult"]

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import weakref
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.schedule.executor import HybridRunResult
-from repro.hpu.hpu import HPU
+from repro.experiments.result import ExperimentResult  # noqa: F401 (re-export)
 from repro.obs.tracer import active as _obs_active
+from repro.util.grids import arange, round_all
 from repro.util.rng import NO_NOISE, NoiseModel
-from repro.util.tables import format_table
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.schedule.executor import HybridRunResult
+    from repro.hpu.hpu import HPU
 
 #: Default measurement jitter for "measured" series — mirrors the
 #: paper's plot scatter; deterministic per (platform, config) key.
@@ -39,47 +41,6 @@ def fmt_ratio(value: Optional[float], digits: int = 3) -> str:
     return str(round(value, digits))
 
 
-@dataclass
-class ExperimentResult:
-    """One regenerated table/figure: rows plus paper-vs-measured notes."""
-
-    experiment_id: str  # e.g. "fig8"
-    title: str
-    headers: List[str]
-    rows: List[List[object]]
-    notes: List[str] = field(default_factory=list)
-    paper_expectation: str = ""
-
-    def render(self) -> str:
-        parts = [
-            format_table(
-                self.headers,
-                self.rows,
-                title=f"[{self.experiment_id}] {self.title}",
-            )
-        ]
-        if self.paper_expectation:
-            parts.append(f"paper: {self.paper_expectation}")
-        parts.extend(f"note: {n}" for n in self.notes)
-        return "\n".join(parts)
-
-    def column(self, name: str) -> List[object]:
-        """Extract one column by header name."""
-        idx = self.headers.index(name)
-        return [row[idx] for row in self.rows]
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (for ``repro-experiments --json``)."""
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "headers": list(self.headers),
-            "rows": [list(row) for row in self.rows],
-            "notes": list(self.notes),
-            "paper_expectation": self.paper_expectation,
-        }
-
-
 @dataclass(frozen=True)
 class BestPoint:
     """Best measured operating point of a (platform, n) sweep."""
@@ -98,6 +59,25 @@ class BestPoint:
 #: identical sweeps always coincide.
 _TUNERS: Dict[tuple, object] = {}
 
+#: The memo of the traced run in progress, as (weak tracer ref, memo).
+#: A traced run records only the executor runs its tuners actually
+#: spend, so sharing :data:`_TUNERS` would make its trace, metrics and
+#: conformance depend on what the process ran before.  Each tracer gets
+#: a fresh memo instead — what a cold traced process sees — which still
+#: spans the whole run (Fig. 10 after Fig. 8 in one invocation).
+_TRACED_TUNERS: Tuple[Optional[weakref.ref], Dict[tuple, object]] = (None, {})
+
+
+def _tuner_memo(tracer) -> Dict[tuple, object]:
+    global _TRACED_TUNERS
+    if tracer is None:
+        return _TUNERS
+    ref, memo = _TRACED_TUNERS
+    if ref is None or ref() is not tracer:
+        memo = {}
+        _TRACED_TUNERS = (weakref.ref(tracer), memo)
+    return memo
+
 
 def _tuner_for(
     hpu: HPU, n: int, noise: NoiseModel, workload: str = "mergesort"
@@ -105,10 +85,11 @@ def _tuner_for(
     from repro.core.autotune import AutoTuner
     from repro.workloads import get as get_workload
 
+    memo = _tuner_memo(_obs_active())
     key = (hpu.name, workload, n, noise)
-    tuner = _TUNERS.get(key)
+    tuner = memo.get(key)
     if tuner is None:
-        _TUNERS[key] = tuner = AutoTuner(
+        memo[key] = tuner = AutoTuner(
             hpu, get_workload(workload).workload(n), noise=noise
         )
     return tuner
@@ -200,10 +181,10 @@ def sweep_best_operating_points(
     ]
 
 
-def default_alpha_grid(fast: bool = False) -> np.ndarray:
+def default_alpha_grid(fast: bool = False) -> List[float]:
     """The α grid of the paper's sweeps (Fig. 7's x-axis)."""
     step = 0.04 if fast else 0.02
-    return np.round(np.arange(0.04, 0.44, step), 4)
+    return round_all(arange(0.04, 0.44, step), 4)
 
 
 def size_grid(fast: bool = False) -> List[int]:

@@ -12,13 +12,12 @@ proposed but did not run.  Three comparisons on HPU1:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms.mergesort.hybrid import make_mergesort_workload
 from repro.core.schedule import AdvancedSchedule, ScheduleExecutor
 from repro.core.schedule.extensions import plan_parallel_tail
 from repro.experiments.common import ExperimentResult
 from repro.hpu import HPU1, dual_card
+from repro.util.grids import arange
 from repro.util.intmath import ilog2
 
 
@@ -29,7 +28,7 @@ def _best_advanced(hpu, workload, fast: bool):
     best = executor.run_cpu_only()
     step = 0.1 if fast else 0.05
     for level in range(max(2, workload.k - 12), workload.k + 1):
-        for alpha in np.arange(0.05, 0.5, step):
+        for alpha in arange(0.05, 0.5, step):
             try:
                 plan = scheduler.plan(
                     workload,

@@ -7,11 +7,10 @@ GPU's share of total work at ≈52 %, with the GPU reaching level ≈10.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.model import ClosedFormModel, ModelContext
 from repro.experiments.common import ExperimentResult
 from repro.hpu import HPU1
+from repro.util.grids import linspace
 
 N = 1 << 24
 
@@ -23,16 +22,15 @@ def model(n: int = N) -> ClosedFormModel:
 
 def run(fast: bool = False) -> ExperimentResult:
     cf = model()
-    grid = np.linspace(0.02, 0.35, 12 if fast else 34)
+    grid = linspace(0.02, 0.35, 12 if fast else 34)
     rows = []
     for alpha in grid:
-        alpha = float(alpha)
         y = cf.solve_y(alpha)
         share = cf.gpu_work(alpha) / cf.total_work()
         rows.append([round(alpha, 3), round(y, 2), round(100 * share, 1)])
 
-    fine = np.linspace(1e-3, 0.999, 4000)
-    alpha_star = float(max(fine, key=cf.gpu_work))
+    fine = linspace(1e-3, 0.999, 4000)
+    alpha_star = max(fine, key=cf.gpu_work)
     best_share = cf.gpu_work(alpha_star) / cf.total_work()
     return ExperimentResult(
         experiment_id="fig3",

@@ -8,12 +8,11 @@ and a maximum around 4.5x.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms.mergesort.hybrid import make_mergesort_workload
 from repro.core.schedule import AdvancedSchedule, ScheduleExecutor
 from repro.experiments.common import MEASUREMENT_NOISE, ExperimentResult
 from repro.hpu import HPU1
+from repro.util.grids import arange, round_all
 
 N = 1 << 24
 LEVELS = range(7, 13)
@@ -37,9 +36,7 @@ def _level_speedups(level, alphas):
 
 
 def run(fast: bool = False) -> ExperimentResult:
-    alphas = [float(a) for a in np.round(
-        np.arange(0.04, 0.36, 0.08 if fast else 0.02), 3
-    )]
+    alphas = round_all(arange(0.04, 0.36, 0.08 if fast else 0.02), 3)
     per_level = [_level_speedups(level, alphas) for level in LEVELS]
 
     rows = []

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.result import ExperimentResult
 
 #: Experiment id -> its module under ``repro.experiments``.  A module
 #: is imported on the experiment's first run, so a cold single-figure

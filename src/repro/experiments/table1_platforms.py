@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.result import ExperimentResult
 from repro.hpu import PLATFORMS
 
 

@@ -166,8 +166,15 @@ def load_index(results_dir: Union[str, Path]) -> List[dict]:
     if not index_path.exists():
         return []
     latest: Dict[str, dict] = {}
-    order: List[str] = []
-    for raw in index_path.read_text().splitlines():
+    for entry in parse_lines(index_path.read_text()):
+        # A repeated id keeps its first position (dict update order).
+        latest[entry.get("run_id", "")] = entry
+    return list(latest.values())
+
+
+def parse_lines(text: str) -> Iterator[dict]:
+    """The index entries of ``text``, skipping blank and bad lines."""
+    for raw in text.splitlines():
         raw = raw.strip()
         if not raw:
             continue
@@ -175,10 +182,5 @@ def load_index(results_dir: Union[str, Path]) -> List[dict]:
             entry = json.loads(raw)
         except json.JSONDecodeError:
             continue
-        if not isinstance(entry, dict):
-            continue
-        run_id = entry.get("run_id", "")
-        if run_id not in latest:
-            order.append(run_id)
-        latest[run_id] = entry
-    return [latest[run_id] for run_id in order]
+        if isinstance(entry, dict):
+            yield entry

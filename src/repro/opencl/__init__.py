@@ -22,22 +22,31 @@ Key modelling decisions (see DESIGN.md §2):
   optimization).
 """
 
-from repro.opencl.device import GPUDevice, GPUDeviceSpec
-from repro.opencl.kernel import AccessPattern, Kernel, NDRange
-from repro.opencl.memory import Buffer, MemoryRegion
-from repro.opencl.platform import Platform
-from repro.opencl.queue import CommandQueue
-from repro.opencl.reference import run_reference
+import importlib
 
-__all__ = [
-    "GPUDevice",
-    "GPUDeviceSpec",
-    "AccessPattern",
-    "Kernel",
-    "NDRange",
-    "Buffer",
-    "MemoryRegion",
-    "Platform",
-    "CommandQueue",
-    "run_reference",
-]
+# Public name -> defining submodule.  Resolved on first attribute access
+# (PEP 562), so importing one submodule does not load its siblings -- the
+# timing path needs the cost model, not the command queue.
+_EXPORTS = {
+    "GPUDevice": "device",
+    "GPUDeviceSpec": "device",
+    "AccessPattern": "kernel",
+    "Kernel": "kernel",
+    "NDRange": "kernel",
+    "Buffer": "memory",
+    "MemoryRegion": "memory",
+    "Platform": "platform",
+    "CommandQueue": "queue",
+    "run_reference": "reference",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import DeviceError
 from repro.opencl.costmodel import (
@@ -15,6 +14,10 @@ from repro.opencl.costmodel import (
 from repro.opencl.kernel import Kernel, NDRange
 from repro.opencl.memory import Buffer, DeviceMemory
 from repro.sim.trace import BusyTrace
+from repro.util.ambient import resilience_session
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,9 @@ class GPUDevice:
         return f"<GPUDevice {self.spec.name!r} g={self.spec.g}>"
 
     # -- memory -------------------------------------------------------
-    def alloc(self, nbytes: int, dtype=np.dtype(np.int64), name: str = "") -> Buffer:
+    def alloc(self, nbytes: int, dtype="int64", name: str = "") -> Buffer:
         """Allocate a global-memory buffer on this device."""
-        return self.memory.alloc(nbytes, dtype=np.dtype(dtype), name=name)
+        return self.memory.alloc(nbytes, dtype=dtype, name=name)
 
     def alloc_like(self, array: np.ndarray, name: str = "") -> Buffer:
         """Allocate a buffer shaped for ``array`` (1-D)."""
@@ -100,9 +103,7 @@ class GPUDevice:
         launch raises :class:`~repro.errors.DeviceLostError` before
         touching any data — a dead device runs nothing.
         """
-        from repro.resilience.runtime import active as _resilience_active
-
-        session = _resilience_active()
+        session = resilience_session()
         if session is not None and not session.ambient_injector.device_alive(
             "gpu"
         ):

@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 from typing import Dict
 
-import numpy as np
-
 from repro.errors import DeviceMemoryError
 
 
@@ -39,10 +37,13 @@ class Buffer:
     def __init__(
         self,
         nbytes: int,
-        dtype: np.dtype = np.dtype(np.int64),
+        dtype="int64",
         region: MemoryRegion = MemoryRegion.GLOBAL,
         name: str = "",
     ) -> None:
+        import numpy as np
+
+        dtype = np.dtype(dtype)
         if nbytes <= 0:
             raise DeviceMemoryError(f"buffer size must be positive, got {nbytes!r}")
         if nbytes % dtype.itemsize != 0:
@@ -96,7 +97,7 @@ class DeviceMemory:
     def alloc(
         self,
         nbytes: int,
-        dtype: np.dtype = np.dtype(np.int64),
+        dtype="int64",
         name: str = "",
         region: MemoryRegion = MemoryRegion.GLOBAL,
     ) -> Buffer:

@@ -10,18 +10,19 @@ trace so experiments can measure utilization and CPU/GPU overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import DeviceError
 from repro.obs.tracer import active as _obs_active
-from repro.resilience.runtime import active as _resilience_active
 from repro.opencl.device import GPUDevice
 from repro.opencl.kernel import Kernel, NDRange
 from repro.opencl.memory import Buffer
 from repro.sim import Resource, Simulator, Timeout
 from repro.sim.signals import Signal
+from repro.util.ambient import resilience_session
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class CommandQueue:
         def command():
             yield self._order.request(1)
             if site is not None:
-                session = _resilience_active()
+                session = resilience_session()
                 if session is not None:
                     session.ambient_injector.check(site, "gpu", self.sim.now)
             start = self.sim.now

@@ -22,12 +22,13 @@ local-memory tree reduction every OpenCL tutorial opens with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List
 
 from repro.errors import KernelError
 from repro.opencl.kernel import NDRange
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: Sentinel yielded by work-item generators at a barrier.
 BARRIER = object()
@@ -41,7 +42,7 @@ class LocalMemory:
         self._arrays: Dict[str, np.ndarray] = {}
         self._used = 0
 
-    def alloc(self, name: str, size: int, dtype=np.int64) -> np.ndarray:
+    def alloc(self, name: str, size: int, dtype="int64") -> np.ndarray:
         """Allocate (or fetch) a named local array.
 
         Repeated allocation with the same name returns the same array —
@@ -49,6 +50,8 @@ class LocalMemory:
         """
         if name in self._arrays:
             return self._arrays[name]
+        import numpy as np
+
         nbytes = size * np.dtype(dtype).itemsize
         if self._used + nbytes > self.limit_bytes:
             raise KernelError(

@@ -11,8 +11,10 @@ Source of truth
     The cache owns **no** storage of its own.  Every run manifest
     records its ``cache_key`` and canonical ``request``; every
     ``results/index.jsonl`` line carries the key.  :class:`ResultCache`
-    is just an in-memory view over :func:`repro.obs.index.load_index`,
-    refreshed on miss — so direct ``repro-experiments`` runs warm the
+    is just an in-memory view over the index (the same entries
+    :func:`repro.obs.index.load_index` returns), brought up to date on
+    miss by reading only the lines appended since — so direct
+    ``repro-experiments`` runs warm the
     service cache, a restarted daemon rediscovers every previous run,
     and deleting a run directory evicts it (the lookup re-checks that
     the manifest file still exists).
@@ -22,10 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
-from repro.obs.index import load_index
+from repro.obs.index import INDEX_NAME, parse_lines
 
 #: Hex digest length 32 (blake2b-128): plenty against collision for a
 #: results tree, short enough to read in an index line.
@@ -51,22 +54,67 @@ class ResultCache:
         self.results_dir = Path(results_dir)
         self._by_key: Dict[str, dict] = {}
         self._loaded = False
+        #: Latest entry per run id, in first-appended order (what
+        #: load_index returns), and how far the index has been read:
+        #: the byte offset just past the last whole line, and the
+        #: (device, inode) of the file it belongs to.
+        self._runs: Dict[str, dict] = {}
+        self._offset = 0
+        self._identity: Optional[Tuple[int, int]] = None
 
     def __len__(self) -> int:
         return len(self._by_key)
 
     # ------------------------------------------------------------------
     def refresh(self) -> int:
-        """Re-read the index; returns the number of cacheable entries.
+        """Catch up with the index; returns the number of cacheable entries.
 
+        Reads only the bytes appended since the last refresh.  A torn
+        last line (an append still in flight) is left for the next
+        call.  A file that shrank, was replaced, or no longer ends a
+        line where the last read stopped is re-read from the start.
         Later index lines win for a repeated key, matching the index's
         own last-write-wins semantics per run id.
         """
-        self._by_key = {}
-        for entry in load_index(self.results_dir):
+        try:
+            with open(self.results_dir / INDEX_NAME, "rb") as handle:
+                stat = os.fstat(handle.fileno())
+                identity = (stat.st_dev, stat.st_ino)
+                start = self._offset
+                if start and (
+                    identity != self._identity or stat.st_size < start
+                ):
+                    start = 0
+                elif start:
+                    handle.seek(start - 1)
+                    if handle.read(1) != b"\n":
+                        start = 0
+                handle.seek(start)
+                chunk = handle.read()
+        except FileNotFoundError:
+            identity, start, chunk = None, 0, b""
+        if start == 0:
+            self._by_key, self._runs = {}, {}
+        whole = chunk.rfind(b"\n") + 1
+        self._offset = start + whole
+        self._identity = identity
+        rebuild = False
+        for entry in parse_lines(chunk[:whole].decode("utf-8", "replace")):
+            run_id = entry.get("run_id", "")
+            # A new run id is last in index order, so its key is won by
+            # it; re-indexing a known id can hand a key back to another
+            # run, so that re-derives every key.
+            rebuild = rebuild or run_id in self._runs
+            self._runs[run_id] = entry
             key = entry.get("cache_key")
-            if key:
+            if key and not rebuild:
                 self._by_key[key] = entry
+        if rebuild:
+            self._by_key = {}
+            for entry in self._runs.values():
+                key = entry.get("cache_key")
+                if key:
+                    self._by_key[key] = entry
         self._loaded = True
         return len(self._by_key)
 

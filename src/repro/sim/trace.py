@@ -8,173 +8,71 @@ unions and pairwise overlaps.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Sequence, Tuple
 
 Interval = Tuple[float, float]
 
-#: Below this many intervals the plain-Python paths win; both paths
-#: produce bit-identical results, so the threshold is purely a tuning
-#: knob.
-_VECTOR_THRESHOLD = 32
 
-
-def _clean_columns(starts: np.ndarray, ends: np.ndarray):
-    """Validated (starts, ends) arrays with zero-length intervals dropped.
-
-    Mirrors the scalar cleaning loop: raise on the first interval whose
-    end precedes its start (same message, same values), drop zero-length
-    intervals.
-    """
-    if np.any(ends < starts):
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            if end < start:
-                raise ValueError(
-                    f"interval end {end} precedes start {start}"
-                )
-    keep = ends > starts
-    if not keep.all():
-        starts = starts[keep]
-        ends = ends[keep]
-    return starts, ends
-
-
-def _clean_arrays(intervals: Sequence[Interval]):
-    """:func:`_clean_columns` over a sequence of (start, end) pairs."""
-    arr = np.asarray(intervals, dtype=float)
-    return _clean_columns(arr[:, 0], arr[:, 1])
-
-
-def _merge_core(starts: np.ndarray, ends: np.ndarray) -> List[Interval]:
-    """Union of cleaned interval columns (the vectorized merge body)."""
-    if len(starts) == 0:
-        return []
-    order = np.lexsort((ends, starts))
-    s = starts[order]
-    e = ends[order]
-    # Running max of ends partitions the sorted intervals into disjoint
-    # groups: a new group opens where a start strictly exceeds every end
-    # seen so far (the scalar loop's `start <= merged[-1][1]` test —
-    # within a group the global running max equals the group's own).
-    run_max = np.maximum.accumulate(e)
-    boundary = np.empty(len(s), dtype=bool)
-    boundary[0] = True
-    np.greater(s[1:], run_max[:-1], out=boundary[1:])
-    first = np.nonzero(boundary)[0]
-    last = np.append(first[1:] - 1, len(s) - 1)
-    return list(zip(s[first].tolist(), run_max[last].tolist()))
-
-
-def _concurrency_core(starts: np.ndarray, ends: np.ndarray, k: int) -> float:
-    """The vectorized ≥k-active sweep over cleaned interval columns."""
-    m = len(starts)
-    if m == 0:
-        return 0.0
-    times = np.concatenate((starts, ends))
-    deltas = np.empty(2 * m, dtype=np.int64)
-    deltas[:m] = 1
-    deltas[m:] = -1
-    order = np.lexsort((deltas, times))
-    t = times[order]
-    d = deltas[order]
-    # Gap before each event (prev starts at 0.0, like the scalar loop)
-    # and the active count *before* the event is applied.
-    gaps = np.empty(2 * m)
-    gaps[0] = t[0] - 0.0
-    np.subtract(t[1:], t[:-1], out=gaps[1:])
-    active_before = np.cumsum(d)
-    selected = np.empty(2 * m, dtype=bool)
-    selected[0] = False  # active is 0 before the first event; k >= 1
-    np.greater_equal(active_before[:-1], k, out=selected[1:])
-    total = 0.0
-    for gap in gaps[selected].tolist():
-        total += gap
-    return total
-
-
-def merge_interval_arrays(starts, ends) -> List[Interval]:
-    """:func:`merge_intervals` entered with parallel start/end columns.
-
-    For callers (the macro fast path) that already hold flat arrays;
-    skips the tuple-row conversion and always takes the bulk path.
-    """
-    return _merge_core(
-        *_clean_columns(
-            np.asarray(starts, dtype=float), np.asarray(ends, dtype=float)
-        )
-    )
-
-
-def time_at_concurrency_arrays(starts, ends, k: int) -> float:
-    """:func:`time_at_concurrency` entered with start/end columns."""
-    if k < 1:
-        raise ValueError(f"concurrency threshold must be >= 1, got {k!r}")
-    return _concurrency_core(
-        *_clean_columns(
-            np.asarray(starts, dtype=float), np.asarray(ends, dtype=float)
-        ),
-        k,
-    )
-
-
-def merge_intervals(intervals: Sequence[Interval]) -> List[Interval]:
+def merge_intervals(intervals: Iterable[Interval]) -> List[Interval]:
     """Union of possibly-overlapping intervals, sorted and disjoint.
 
-    The output is value-determined — the algorithm only compares and
-    selects endpoints, never does arithmetic on them — so the vectorized
-    bulk path below is interchangeable with the scalar one.
+    Zero-length intervals are dropped; an interval whose end precedes
+    its start raises ``ValueError``.
     """
-    if len(intervals) < _VECTOR_THRESHOLD:
-        cleaned = []
-        for start, end in intervals:
-            if end < start:
-                raise ValueError(f"interval end {end} precedes start {start}")
-            if end > start:
-                cleaned.append((start, end))
-        cleaned.sort()
-        merged: List[Interval] = []
-        for start, end in cleaned:
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        return merged
-    return _merge_core(*_clean_arrays(intervals))
+    cleaned = []
+    for start, end in intervals:
+        if end < start:
+            raise ValueError(f"interval end {end} precedes start {start}")
+        if end > start:
+            cleaned.append((start, end))
+    cleaned.sort()
+    merged: List[Interval] = []
+    for start, end in cleaned:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
 
 
-def time_at_concurrency(intervals: Sequence[Interval], k: int) -> float:
+def time_at_concurrency(intervals: Iterable[Interval], k: int) -> float:
     """Total time during which at least ``k`` intervals are active.
 
     Used for Fig. 8's blue line: the denominator is the time the CPU is
     *fully* utilized, i.e. all ``p`` per-core busy intervals overlap.
-
-    The bulk path reproduces the scalar sweep bit for bit: the event
-    order is the same sort key (time, then -1 before +1), each gap is
-    the same single subtraction, and the selected gaps are added in the
-    same left-to-right order.
+    Events sort by (time, then -1 before +1), so an interval ending
+    exactly where another starts never counts as overlap.
     """
     if k < 1:
         raise ValueError(f"concurrency threshold must be >= 1, got {k!r}")
-    if len(intervals) < _VECTOR_THRESHOLD:
-        events: List[Tuple[float, int]] = []
-        for start, end in intervals:
-            if end < start:
-                raise ValueError(f"interval end {end} precedes start {start}")
-            if end > start:
-                events.append((start, 1))
-                events.append((end, -1))
-        events.sort()
-        total = 0.0
-        active = 0
-        prev = 0.0
-        for time, delta in events:
-            if active >= k:
-                total += time - prev
-            active += delta
-            prev = time
-        return total
-    return _concurrency_core(*_clean_arrays(intervals), k)
+    events: List[Tuple[float, int]] = []
+    for start, end in intervals:
+        if end < start:
+            raise ValueError(f"interval end {end} precedes start {start}")
+        if end > start:
+            events.append((start, 1))
+            events.append((end, -1))
+    events.sort()
+    total = 0.0
+    active = 0
+    prev = 0.0
+    for time, delta in events:
+        if active >= k:
+            total += time - prev
+        active += delta
+        prev = time
+    return total
+
+
+def merge_interval_arrays(starts, ends) -> List[Interval]:
+    """:func:`merge_intervals` entered with parallel start/end columns
+    (what the macro fast path holds)."""
+    return merge_intervals(zip(starts, ends))
+
+
+def time_at_concurrency_arrays(starts, ends, k: int) -> float:
+    """:func:`time_at_concurrency` entered with start/end columns."""
+    return time_at_concurrency(zip(starts, ends), k)
 
 
 def overlap_length(a: Sequence[Interval], b: Sequence[Interval]) -> float:

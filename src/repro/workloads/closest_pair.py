@@ -11,9 +11,7 @@ whose per-level data flow is a reduction rather than an array rewrite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.algorithms.closest_pair import (
     brute_force_closest,
@@ -36,6 +34,9 @@ from repro.workloads.registry import (
     register,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 #: Points per leaf task (brute-forced directly).
 LEAF_POINTS = 4
 
@@ -50,6 +51,8 @@ class ClosestPairHost:
     points: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         pts = np.asarray(self.points, dtype=float)
         n = pts.shape[0]
         if pts.ndim != 2 or pts.shape[1] != 2 or not is_power_of_two(max(n, 1)):
@@ -154,6 +157,8 @@ def _build(n: int) -> DCWorkload:
 
 
 def _build_host(n: int, seed: int) -> HostRun:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     host = ClosestPairHost(rng.random((n, 2)))
     workload = _make_workload(n, host=host)

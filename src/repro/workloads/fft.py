@@ -12,9 +12,7 @@ combine-level coverage directly observable in the output spectrum.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.algorithms.fft import butterfly
 from repro.core.schedule.workload import (
@@ -33,9 +31,14 @@ from repro.workloads.registry import (
     register,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 
 def bit_reversal_permutation(n: int) -> np.ndarray:
     """Index array mapping natural order to bit-reversed order."""
+    import numpy as np
+
     bits = ilog2(n)
     idx = np.arange(n)
     rev = np.zeros(n, dtype=np.int64)
@@ -49,6 +52,8 @@ class FftHost:
     """Host-side state: the spectrum-in-progress, bit-reversed layout."""
 
     def __init__(self, signal: np.ndarray) -> None:
+        import numpy as np
+
         signal = np.asarray(signal, dtype=np.complex128)
         n = signal.size
         if signal.ndim != 1 or not is_power_of_two(max(n, 1)):
@@ -141,6 +146,8 @@ def _build(n: int) -> DCWorkload:
 
 
 def _build_host(n: int, seed: int) -> HostRun:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     signal = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     host = FftHost(signal)

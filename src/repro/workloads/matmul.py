@@ -11,9 +11,7 @@ quadrant additions on the way up.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.algorithms.matmul import (
     BASE_DIM,
@@ -31,11 +29,16 @@ from repro.workloads.registry import (
     register,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 
 class MatmulHost:
     """Host-side state: the eagerly-expanded 8-ary problem tree."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
+        import numpy as np
+
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         dim = a.shape[0]
@@ -91,6 +94,8 @@ def _build(dim: int) -> DCWorkload:
 
 
 def _build_host(dim: int, seed: int) -> HostRun:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     b = rng.standard_normal((dim, dim))

@@ -9,7 +9,7 @@ through the registry cannot move a golden number
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.algorithms.mergesort.hybrid import (
     MergesortHost,
@@ -23,12 +23,17 @@ from repro.workloads.registry import (
     register,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 
 def _build(n: int) -> DCWorkload:
     return make_mergesort_workload(n)
 
 
 def _build_host(n: int, seed: int) -> HostRun:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 1 << 30, size=n, dtype=np.int64).astype(np.int32)
     original = data.copy()

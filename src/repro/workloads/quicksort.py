@@ -17,9 +17,7 @@ level's post-condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.algorithms.quicksort import LEAF_BLOCK, LEAF_COST, median_partition
 from repro.core.schedule.workload import (
@@ -37,6 +35,9 @@ from repro.workloads.registry import (
     WorkloadEntry,
     register,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass
@@ -152,6 +153,8 @@ def _make_workload(n: int, host) -> DCWorkload:
 
 
 def _build_host(n: int, seed: int) -> HostRun:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 1 << 30, size=n, dtype=np.int64).astype(np.int32)
     original = data.copy()

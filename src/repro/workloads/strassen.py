@@ -15,9 +15,7 @@ product is wrong.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.algorithms.strassen import BASE_DIM, combine_step, divide_step
 from repro.core.schedule.workload import (
@@ -36,11 +34,16 @@ from repro.workloads.registry import (
     register,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 
 class StrassenHost:
     """Host-side state: the eagerly-expanded 7-ary problem tree."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
+        import numpy as np
+
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         dim = a.shape[0]
@@ -154,6 +157,8 @@ def _build(dim: int) -> DCWorkload:
 
 
 def _build_host(dim: int, seed: int) -> HostRun:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     b = rng.standard_normal((dim, dim))

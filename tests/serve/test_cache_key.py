@@ -166,3 +166,93 @@ class TestResultCache:
         entry = cache.lookup("k1")
         assert entry is not None and entry["run_id"] == "r1"
         assert cache.manifest_path(entry) == run / "manifest.json"
+
+
+class TestIncrementalRefresh:
+    """refresh() reads only what was appended, yet always agrees with a
+    full read of the index (last write wins per run id)."""
+
+    @staticmethod
+    def line(run_id, key):
+        return json.dumps(
+            {"run_id": run_id, "cache_key": key, "manifest": f"{run_id}/m"},
+            sort_keys=True,
+        ) + "\n"
+
+    @staticmethod
+    def keys(cache):
+        return {key: entry["run_id"] for key, entry in cache._by_key.items()}
+
+    def test_append_reads_only_the_tail(self, tmp_path):
+        index = tmp_path / "index.jsonl"
+        index.write_text(self.line("r1", "k1"))
+        cache = ResultCache(tmp_path)
+        assert cache.refresh() == 1
+        first_offset = cache._offset
+        with open(index, "a") as handle:
+            handle.write(self.line("r2", "k2") + "\n" + "not json\n")
+        assert cache.refresh() == 2
+        assert cache._offset == index.stat().st_size > first_offset
+        assert self.keys(cache) == {"k1": "r1", "k2": "r2"}
+
+    def test_repeated_run_id_matches_a_full_read(self, tmp_path):
+        index = tmp_path / "index.jsonl"
+        index.write_text(self.line("r1", "k") + self.line("r2", "k"))
+        cache = ResultCache(tmp_path)
+        cache.refresh()
+        assert self.keys(cache) == {"k": "r2"}
+        # Re-indexing r1 keeps its first position, so r2 still wins k.
+        with open(index, "a") as handle:
+            handle.write(self.line("r1", "k"))
+        cache.refresh()
+        full = ResultCache(tmp_path)
+        full.refresh()
+        assert self.keys(cache) == self.keys(full) == {"k": "r2"}
+
+    def test_torn_last_line_waits_for_its_newline(self, tmp_path):
+        index = tmp_path / "index.jsonl"
+        whole = self.line("r1", "k1")
+        torn = self.line("r2", "k2")
+        index.write_text(whole + torn[:10])
+        cache = ResultCache(tmp_path)
+        assert cache.refresh() == 1
+        assert cache._offset == len(whole)
+        with open(index, "a") as handle:
+            handle.write(torn[10:])
+        assert cache.refresh() == 2
+        assert self.keys(cache) == {"k1": "r1", "k2": "r2"}
+
+    def test_truncated_index_is_reread(self, tmp_path):
+        index = tmp_path / "index.jsonl"
+        index.write_text(self.line("r1", "k1") + self.line("r2", "k2"))
+        cache = ResultCache(tmp_path)
+        assert cache.refresh() == 2
+        index.write_text(self.line("r3", "k3"))  # same inode, shorter
+        assert cache.refresh() == 1
+        assert self.keys(cache) == {"k3": "r3"}
+
+    def test_replaced_index_is_reread(self, tmp_path):
+        index = tmp_path / "index.jsonl"
+        index.write_text(self.line("r1", "k1"))
+        cache = ResultCache(tmp_path)
+        cache.refresh()
+        fresh = tmp_path / "index.new"
+        fresh.write_text(self.line("r8", "k8") + self.line("r9", "k9"))
+        fresh.replace(index)  # new inode, longer than the old file
+        assert cache.refresh() == 2
+        assert self.keys(cache) == {"k8": "r8", "k9": "r9"}
+
+    def test_rewritten_in_place_is_reread(self, tmp_path):
+        index = tmp_path / "index.jsonl"
+        index.write_text(self.line("r1", "k1"))
+        cache = ResultCache(tmp_path)
+        cache.refresh()
+        # Same inode, longer, but the old line boundary is gone.
+        index.write_text(self.line("r22", "k22") + self.line("r3", "k3"))
+        cache.refresh()
+        assert self.keys(cache) == {"k22": "r22", "k3": "r3"}
+
+    def test_missing_index_is_empty(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.refresh() == 0
+        assert cache.lookup("k1") is None

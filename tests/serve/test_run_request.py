@@ -173,6 +173,34 @@ class TestServeDirectEquivalence:
         assert job.cache_key == direct.cache_key
 
 
+class TestTracedRunIsolation:
+    def test_traced_sweep_ignores_earlier_tuner_work(self, tmp_path):
+        """A traced run's manifest (analysis, metrics, conformance) may
+        not depend on what the process simulated before it: the same
+        traced sweep, run before and after a sweep sharing its
+        (platform, n, noise) tuner with another alpha grid, records the
+        same executor runs."""
+        sweep = dict(TINY_SWEEP, alphas=[0.1, 0.2], levels=[9, 10], seed=7)
+        other = dict(sweep, alphas=[0.2, 0.3])
+
+        def traced(run_id):
+            return run_request(
+                tiny_spec(
+                    tmp_path, run_id=run_id, sweep=dict(sweep),
+                    check_model=0.6,
+                )
+            )
+
+        first = traced("first")
+        run_request(tiny_spec(tmp_path, run_id="other", sweep=other))
+        second = traced("second")
+        assert first.cache_key == second.cache_key
+        a = RunManifest.load(first.manifest_path)
+        b = RunManifest.load(second.manifest_path)
+        assert a.analysis and a.conformance["checks"] > 0
+        assert diff_manifests(a, b) == []
+
+
 class TestDaemonKeyMatchesRunnerKey:
     """The key the daemon files a job under (from the validated
     request) must equal the key the runner computes from the spec the

@@ -162,3 +162,114 @@ class TestBusyTrace:
         tr = BusyTrace()
         with pytest.raises(ValueError):
             tr.record(5, 4)
+
+
+# ----------------------------------------------------------------------
+# parity with the former numpy bulk paths
+# ----------------------------------------------------------------------
+def numpy_merge(intervals):
+    """The deleted vectorized merge: lexsort + running max of ends."""
+    import numpy as np
+
+    arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    starts, ends = arr[:, 0], arr[:, 1]
+    keep = ends > starts
+    s_raw, e_raw = starts[keep], ends[keep]
+    if len(s_raw) == 0:
+        return []
+    order = np.lexsort((e_raw, s_raw))
+    s, e = s_raw[order], e_raw[order]
+    run_max = np.maximum.accumulate(e)
+    boundary = np.empty(len(s), dtype=bool)
+    boundary[0] = True
+    np.greater(s[1:], run_max[:-1], out=boundary[1:])
+    first = np.nonzero(boundary)[0]
+    last = np.append(first[1:] - 1, len(s) - 1)
+    return list(zip(s[first].tolist(), run_max[last].tolist()))
+
+
+def numpy_concurrency(intervals, k):
+    """The deleted vectorized ≥k sweep: lexsort on (time, delta)."""
+    import numpy as np
+
+    arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    keep = arr[:, 1] > arr[:, 0]
+    starts, ends = arr[keep, 0], arr[keep, 1]
+    m = len(starts)
+    if m == 0:
+        return 0.0
+    times = np.concatenate((starts, ends))
+    deltas = np.concatenate((np.ones(m, np.int64), -np.ones(m, np.int64)))
+    order = np.lexsort((deltas, times))
+    t, d = times[order], deltas[order]
+    gaps = np.empty(2 * m)
+    gaps[0] = t[0] - 0.0
+    np.subtract(t[1:], t[:-1], out=gaps[1:])
+    active_before = np.cumsum(d)
+    selected = np.empty(2 * m, dtype=bool)
+    selected[0] = False
+    np.greater_equal(active_before[:-1], k, out=selected[1:])
+    total = 0.0
+    for gap in gaps[selected].tolist():
+        total += gap
+    return total
+
+
+#: Endpoints from a small lattice, so ties, shared endpoints and
+#: zero-length intervals are common; up to 200 intervals covers the
+#: sizes the macro replay produces.
+_lattice = st.sampled_from([0.0, 0.5, 1.0, 1.25, 2.0, 3.5, 1e-9, 7.0, 100.0])
+_endpoint = st.one_of(_lattice, st.floats(0, 100, allow_nan=False))
+parity_intervals = st.lists(
+    st.tuples(_endpoint, _endpoint).map(lambda t: (min(t), max(t))),
+    max_size=200,
+)
+
+
+class TestParityWithNumpyBulkPaths:
+    @given(parity_intervals)
+    def test_merge(self, intervals):
+        from repro.sim.trace import merge_interval_arrays
+
+        expected = numpy_merge(intervals)
+        for got in (
+            merge_intervals(intervals),
+            merge_interval_arrays(
+                [s for s, _ in intervals], [e for _, e in intervals]
+            ),
+        ):
+            assert [(float(s).hex(), float(e).hex()) for s, e in got] == [
+                (s.hex(), e.hex()) for s, e in expected
+            ]
+
+    @given(parity_intervals, st.integers(min_value=1, max_value=6))
+    def test_concurrency(self, intervals, k):
+        from repro.sim.trace import time_at_concurrency_arrays
+
+        expected = numpy_concurrency(intervals, k)
+        assert float(time_at_concurrency(intervals, k)).hex() == expected.hex()
+        starts = [s for s, _ in intervals]
+        ends = [e for _, e in intervals]
+        assert (
+            time_at_concurrency_arrays(starts, ends, k).hex() == expected.hex()
+        )
+
+    @pytest.mark.parametrize("size", [1, 40])
+    def test_reversed_interval_message(self, size):
+        from repro.sim.trace import (
+            merge_interval_arrays,
+            time_at_concurrency_arrays,
+        )
+
+        intervals = [(0.0, 1.0)] * (size - 1) + [(2.5, 1.5)]
+        starts = [s for s, _ in intervals]
+        ends = [e for _, e in intervals]
+        message = "interval end 1.5 precedes start 2.5"
+        with pytest.raises(ValueError, match=message):
+            merge_intervals(intervals)
+        with pytest.raises(ValueError, match=message):
+            merge_interval_arrays(starts, ends)
+        with pytest.raises(ValueError, match=message):
+            time_at_concurrency(intervals, 1)
+        with pytest.raises(ValueError, match=message):
+            time_at_concurrency_arrays(starts, ends, 2)

@@ -1,6 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.util.rng import NO_NOISE, NoiseModel, _stable_hash, make_rng
+import repro
+from repro.util.rng import (
+    DEFAULT_SEED,
+    NO_NOISE,
+    NoiseModel,
+    _entropy,
+    _pcg64_uniform,
+    _stable_hash,
+    make_rng,
+)
 
 
 class TestStableHash:
@@ -55,3 +69,76 @@ class TestNoiseModel:
             NoiseModel(amplitude=1.0)
         with pytest.raises(ValueError):
             NoiseModel(amplitude=-0.1)
+
+
+class TestStdlibNoiseDraw:
+    """NoiseModel.apply draws with a stdlib port of numpy's
+    SeedSequence -> PCG64 -> uniform chain; every draw must be the
+    double numpy would produce."""
+
+    @staticmethod
+    def numpy_eps(seed, amplitude, *key):
+        import numpy as np
+
+        rng = np.random.default_rng(
+            np.random.SeedSequence(
+                [seed, _stable_hash("noise")] + [_stable_hash(k) for k in key]
+            )
+        )
+        return rng.uniform(-amplitude, amplitude)
+
+    def test_matches_numpy_over_seeded_keys(self):
+        import random
+
+        rnd = random.Random(2014)
+        seeds = [0, 1, 7, DEFAULT_SEED, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+        shapes = [
+            ("advanced", 4, 9, 11),
+            ("basic", 12),
+            ("cpu-only", 4),
+            ("parallel-tail", 3, 9, 10, 12),
+            ("multi-gpu", 2, 4, 9, 11),
+            (None,),
+            (),
+        ]
+        for i in range(10_000):
+            seed = seeds[i % len(seeds)] if i % 3 else rnd.getrandbits(64)
+            amplitude = rnd.choice([0.015, 0.05, rnd.uniform(0.0, 0.99)])
+            shape = rnd.choice(shapes)
+            key = ("mergesort",) + tuple(
+                rnd.randrange(1 << 24) if isinstance(v, int) else v
+                for v in shape
+            )
+            expected = self.numpy_eps(seed, amplitude, *key)
+            entropy = _entropy(seed, ("noise",) + key)
+            assert _pcg64_uniform(entropy, -amplitude, amplitude) == expected
+            model = NoiseModel(amplitude=amplitude, seed=seed)
+            assert model.apply(2.0, *key) == 2.0 * (1.0 + expected)
+
+    def test_entropy_words_follow_numpy(self):
+        """Roots above 32 bits span several SeedSequence words; zero is
+        one word, negative roots are rejected like numpy does."""
+        import numpy as np
+
+        for entropy in ([0], [0, 0], [2**64 + 3, 5], [1, 2, 3, 4, 5, 6, 7, 8, 9]):
+            expected = np.random.default_rng(
+                np.random.SeedSequence(entropy)
+            ).uniform(-0.5, 0.5)
+            assert _pcg64_uniform(entropy, -0.5, 0.5) == expected
+        with pytest.raises(ValueError):
+            _pcg64_uniform([-1], -0.5, 0.5)
+        with pytest.raises(ValueError):
+            np.random.SeedSequence([-1])
+
+    def test_draw_loads_no_numpy(self):
+        code = (
+            "import sys; from repro.util.rng import NoiseModel; "
+            "NoiseModel(amplitude=0.05).apply(1.0, 'k', 3); "
+            "print('numpy' in sys.modules)"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
