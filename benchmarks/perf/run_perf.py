@@ -23,11 +23,10 @@ repo root so successive PRs can track the perf trajectory:
   (the acceptance metric; seed: ~4.9 s on the reference machine),
   best-of-3 to shave scheduler noise;
 - ``fig8_fast_traced_s`` / ``trace_overhead_pct``: the same pipeline
-  with the :mod:`repro.obs` tracer active.  Since the macro fast path
-  landed, this gap is dominated by the traced run forgoing the macro
-  path (tracing is defined in terms of the event stream, so traced
-  runs pump the DES), not by span/metric recording itself — it prices
-  what turning tracing on costs, which is mostly "the DES again";
+  with the :mod:`repro.obs` tracer active.  Traced runs replay on the
+  macro path like untraced ones, so this gap is the recording itself:
+  span rows, per-run metrics and the model-conformance oracle each
+  traced run evaluates (the export is not timed here);
 - ``fig8_fast_telemetry_s`` / ``telemetry_overhead_pct``: the untraced
   pipeline with a live :class:`repro.obs.live.TelemetrySampler`
   polling at 20 Hz — what leaving the service flight recorder on
@@ -165,12 +164,11 @@ def bench_fig8_fast(best_of: int = 3) -> float:
 def bench_fig8_fast_traced(best_of: int = 3) -> float:
     """Same pipeline with the repro.obs tracer active (best-of-N).
 
-    The gap against :func:`bench_fig8_fast` prices turning tracing on.
-    With the macro fast path in place that gap is dominated by the
-    traced run pumping the DES (the macro path requires no active
-    tracer), with the append-only recording tax on top.  The untraced
-    number must not move at all when tracing code changes — hot paths
-    only pay an ``is not None`` check when tracing is off.
+    The gap against :func:`bench_fig8_fast` prices turning tracing on:
+    both take the macro path, so it is the recording tax (rows, metrics,
+    the conformance oracle).  The untraced number must not move at all
+    when tracing code changes — hot paths only pay an ``is not None``
+    check when tracing is off.
     """
     return min(_fig8_once(traced=True) for _ in range(best_of))
 

@@ -8,6 +8,15 @@ multiplication, Strassen matrix multiplication, closest pair of points,
 and maximum subarray.
 """
 
-from repro.algorithms import dc_sum, mergesort
+import importlib
 
 __all__ = ["dc_sum", "mergesort"]
+
+
+def __getattr__(name):
+    # Submodules load on first attribute access (PEP 562): importing one
+    # algorithm does not load the others (fig9 needs only the mergesort
+    # kernels, not the schedule layer the hybrid sorts pull in).
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.{name}")

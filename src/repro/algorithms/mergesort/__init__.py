@@ -14,33 +14,32 @@
   parallel-merge mergesort the paper compares against (Fig. 9).
 """
 
-from repro.algorithms.mergesort.breadth_first import mergesort_bf
-from repro.algorithms.mergesort.hybrid import (
-    MergesortHost,
-    hybrid_mergesort,
-    make_mergesort_workload,
-)
-from repro.algorithms.mergesort.merges import (
-    merge_binary_search,
-    merge_pairs_level,
-    merge_two_pointer,
-)
-from repro.algorithms.mergesort.parallel_merge import (
-    ParallelGPUResult,
-    parallel_gpu_mergesort,
-)
-from repro.algorithms.mergesort.recursive import mergesort_recursive, mergesort_spec
+import importlib
 
-__all__ = [
-    "mergesort_bf",
-    "MergesortHost",
-    "hybrid_mergesort",
-    "make_mergesort_workload",
-    "merge_binary_search",
-    "merge_pairs_level",
-    "merge_two_pointer",
-    "ParallelGPUResult",
-    "parallel_gpu_mergesort",
-    "mergesort_recursive",
-    "mergesort_spec",
-]
+# Public name -> defining submodule.  Resolved on first attribute access
+# (PEP 562), so importing one submodule does not load its siblings -- the
+# Fig. 9 kernels do not need the hybrid sorts' schedule layer.
+_EXPORTS = {
+    "mergesort_bf": "breadth_first",
+    "MergesortHost": "hybrid",
+    "hybrid_mergesort": "hybrid",
+    "make_mergesort_workload": "hybrid",
+    "merge_binary_search": "merges",
+    "merge_pairs_level": "merges",
+    "merge_two_pointer": "merges",
+    "ParallelGPUResult": "parallel_merge",
+    "parallel_gpu_mergesort": "parallel_merge",
+    "mergesort_recursive": "recursive",
+    "mergesort_spec": "recursive",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -97,6 +97,81 @@ def _step_kernel(step: KernelStep) -> Kernel:
     )
 
 
+class _ObsMetrics:
+    """The metric handles a traced run records into.
+
+    Built once per (executor, registry) — a tuner sweep runs hundreds of
+    runs against one registry — and shared by the DES and the macro
+    replay, which register the families in the same order.
+    """
+
+    __slots__ = (
+        "metrics", "cpu_ops", "cpu_batches", "llc", "kernel_launches",
+        "gpu_ops", "events", "processes", "runs", "makespan", "core_wait",
+        "lk_sim", "lk_none", "lk_run", "lk_wait", "_lk_cpu", "_lk_gpu",
+        "_element_bytes",
+    )
+
+    def __init__(self, executor: "ScheduleExecutor", metrics) -> None:
+        self.metrics = metrics
+        self.cpu_ops = metrics.counter("cpu.ops")
+        self.cpu_batches = metrics.counter("cpu.batches")
+        self.llc = metrics.counter("cpu.llc_pressure_events")
+        self.kernel_launches = metrics.counter("gpu.kernel_launches")
+        self.gpu_ops = metrics.counter("gpu.ops")
+        self.events = metrics.counter("sim.events")
+        self.processes = metrics.counter("sim.processes")
+        self.runs = metrics.counter("runs")
+        self.makespan = metrics.histogram(
+            "run.makespan", help="noised makespans per platform/workload"
+        )
+        self.core_wait = metrics.histogram(
+            "cpu.core_wait",
+            help="simulated time worker requests wait for a core",
+        )
+        self.lk_sim = _metric_label_key(device="sim")
+        self.lk_none = _metric_label_key()
+        self.lk_run = _metric_label_key(
+            platform=executor.hpu.name, workload=executor.workload.name
+        )
+        self.lk_wait = _metric_label_key(device="cpu")
+        # Per-level label keys live with the executor (they outlast a
+        # registry), so the inc fast path is one dict update a counter.
+        self._lk_cpu, self._lk_gpu = executor._obs_caches[:2]
+        self._element_bytes = executor.workload.element_bytes
+
+    def gpu_label(self, level: LevelRef):
+        """The ``(device=gpu, level)`` label key."""
+        lk = self._lk_gpu.get(level)
+        if lk is None:
+            lk = self._lk_gpu[level] = _metric_label_key(
+                device="gpu", level=level
+            )
+        return lk
+
+    def count_transfer(self, lane: str, tag: str, words: int) -> None:
+        """Byte and count metrics of one finished transfer."""
+        metrics = self.metrics
+        metrics.counter("xfer.bytes").inc(
+            words * self._element_bytes, device=lane, dir=tag
+        )
+        metrics.counter("xfer.count").inc(device=lane, dir=tag)
+
+    def flush_cpu(self, agg: dict) -> None:
+        """Fold a run's per-level CPU batch aggregates (level ->
+        [ops, batches, llc events], in ``cpu_batch`` call order) into
+        the counters: one update per touched level per run."""
+        keys = self._lk_cpu
+        for level, (ops, batches, llc) in agg.items():
+            lk = keys.get(level)
+            if lk is None:
+                lk = keys[level] = _metric_label_key(device="cpu", level=level)
+            self.cpu_ops.inc_at(lk, ops)
+            self.cpu_batches.inc_at(lk, batches)
+            if llc:
+                self.llc.inc_at(lk, llc)
+
+
 class ScheduleExecutor:
     """Executes plans for one (HPU, workload) pair.
 
@@ -143,12 +218,19 @@ class ScheduleExecutor:
         #: this cache.
         self._kernel_cache: Dict[KernelStep, float] = {}
         #: Whole-level duration tuples for the macro path, keyed by
-        #: (level, count, offset); see _MacroRun.gpu_level.
+        #: (level, count, offset), with the kernel steps' span data
+        #: once a traced run needed it; see _MacroRun.gpu_level.
         self._gpu_level_cache: Dict[tuple, tuple] = {}
         #: Per-worker CPU team durations for the macro path, keyed by
         #: (level, count, cores); see _MacroRun.team_durations.
         self._team_cache: Dict[tuple, tuple] = {}
         self._sequential_ops: Optional[float] = None
+        #: Traced-run caches shared by the DES and the macro replay:
+        #: per-level CPU and GPU label keys, and span attribute dicts
+        #: shared across spans with identical attributes (consumers
+        #: treat span attrs as immutable, so sharing is safe).
+        self._obs_caches: tuple = ({}, {}, {})
+        self._obs_finish: Optional[_ObsMetrics] = None
 
     # ------------------------------------------------------------------
     # baselines
@@ -250,7 +332,7 @@ class ScheduleExecutor:
 
         result = run.finish(driver(), noise_key=("basic", plan.crossover))
         if run.tracer is not None:
-            self._note_conformance(run, result, basic_plan=plan)
+            self._note_conformance(run.tracer, run._ri, result, basic_plan=plan)
         return result
 
     # ------------------------------------------------------------------
@@ -346,7 +428,9 @@ class ScheduleExecutor:
             side_spans=side_spans,
         )
         if run.tracer is not None:
-            self._note_conformance(run, result, advanced_plan=plan)
+            self._note_conformance(
+                run.tracer, run._ri, result, advanced_plan=plan
+            )
         return result
 
     # ------------------------------------------------------------------
@@ -538,6 +622,16 @@ class ScheduleExecutor:
 
 
     # ------------------------------------------------------------------
+    # traced-run metric handles (DES and macro replay)
+    # ------------------------------------------------------------------
+    def _obs_metrics(self, metrics) -> _ObsMetrics:
+        """The :class:`_ObsMetrics` of ``metrics``, cached per executor."""
+        obs = self._obs_finish
+        if obs is None or obs.metrics is not metrics:
+            obs = self._obs_finish = _ObsMetrics(self, metrics)
+        return obs
+
+    # ------------------------------------------------------------------
     # model-conformance oracle (traced runs only; pure observation)
     # ------------------------------------------------------------------
     def _model_context(self):
@@ -557,7 +651,7 @@ class ScheduleExecutor:
         return ctx
 
     def _note_conformance(
-        self, run: "_Run", result: HybridRunResult,
+        self, tracer, run_index: int, result: HybridRunResult,
         advanced_plan=None, basic_plan=None,
     ) -> None:
         """Record predicted-vs-simulated residuals for one traced run.
@@ -597,7 +691,6 @@ class ScheduleExecutor:
                 )
         except ModelError:
             return  # operating point outside the model's admissible region
-        tracer = run.tracer
         oracle = getattr(self, "_oracle_metrics", None)
         if oracle is None or oracle[0] is not tracer.metrics:
             metrics = tracer.metrics
@@ -633,7 +726,7 @@ class ScheduleExecutor:
         h_signed.observe_at(lk, report.residual_rel_signed)
         # Attach the oracle numbers to the run's trace record, so every
         # run segment in the exported trace carries its conformance.
-        record = tracer.runs[run._ri]
+        record = tracer.runs[run_index]
         record.attrs.update(
             strategy=report.strategy,
             predicted_makespan=report.predicted,
@@ -690,25 +783,11 @@ class _Run:
                 fast=executor.fast,
             )
             sim = self.sim
-            # Hoist the hot counter families out of the per-batch /
-            # per-kernel paths: one registry lookup per run instead of
-            # one per instrumentation call.
-            metrics = self.tracer.metrics
-            self._c_cpu_ops = metrics.counter("cpu.ops")
-            self._c_cpu_batches = metrics.counter("cpu.batches")
-            self._c_llc = metrics.counter("cpu.llc_pressure_events")
-            self._c_kernel_launches = metrics.counter("gpu.kernel_launches")
-            self._c_gpu_ops = metrics.counter("gpu.ops")
-            # Executor-lifetime caches (a tuner sweep replays the same
-            # batches across hundreds of runs): per-level label keys so
-            # the inc fast path is a single dict update per counter,
-            # and span attribute dicts shared across spans with
-            # identical attributes.  Consumers treat span attrs as
-            # immutable, so sharing is safe.
-            caches = getattr(executor, "_obs_caches", None)
-            if caches is None:
-                caches = executor._obs_caches = ({}, {}, {})
-            self._lk_cpu, self._lk_gpu, self._attr_cache = caches
+            # Metric handles and executor-lifetime caches (a tuner sweep
+            # replays the same batches across hundreds of runs): the
+            # inc fast path is a single dict update per counter.
+            obs = self._obs = executor._obs_metrics(self.tracer.metrics)
+            self._attr_cache = executor._obs_caches[2]
             # Hot-path recording shortcuts: rows recorded during a run
             # are run-relative (see repro.obs.tracer.SpanRow), which sim
             # times already are — so batch/kernel spans append straight
@@ -719,41 +798,13 @@ class _Run:
             self._span_rows = self.tracer.span_rows
             self._ri = self.tracer.current_run.index
             self._cpu_agg: Dict[object, list] = {}
-            # Finish-path metric objects, cached per (executor, tracer):
-            # a tuner sweep runs hundreds of runs against one registry,
-            # so the registry/label lookups happen once, not per run.
-            fin = getattr(executor, "_obs_finish", None)
-            if fin is None or fin[0] is not metrics:
-                fin = executor._obs_finish = (
-                    metrics,
-                    metrics.counter("sim.events"),
-                    metrics.counter("sim.processes"),
-                    metrics.counter("runs"),
-                    metrics.histogram(
-                        "run.makespan",
-                        help="noised makespans per platform/workload",
-                    ),
-                    metrics.histogram(
-                        "cpu.core_wait",
-                        help="simulated time worker requests wait for a core",
-                    ),
-                    _metric_label_key(device="sim"),
-                    _metric_label_key(),
-                    _metric_label_key(
-                        platform=executor.hpu.name,
-                        workload=executor.workload.name,
-                    ),
-                )
-            self._fin = fin
-            wait_hist = fin[5]
-            wait_key = _metric_label_key(device="cpu")
+            wait_hist = obs.core_wait
+            wait_key = obs.lk_wait
             # Synchronous acquires are all zero-wait observations of the
             # same point: count them in a cell and batch-flush in
             # finish() — histograms are commutative, so the point state
             # is identical to per-acquire observe calls.
             zero_waits = [0]
-            self._wait_hist = wait_hist
-            self._wait_key = wait_key
             self._zero_waits = zero_waits
 
             def _on_request(n, grant, _sim=sim, _hist=wait_hist,
@@ -990,13 +1041,9 @@ class _Run:
             launches += 1
             gpu_ops += step.items * step.ops_per_item
         if launches:
-            lk = self._lk_gpu.get(level)
-            if lk is None:
-                lk = self._lk_gpu[level] = _metric_label_key(
-                    device="gpu", level=level
-                )
-            self._c_kernel_launches.inc_at(lk, launches)
-            self._c_gpu_ops.inc_at(lk, gpu_ops)
+            lk = self._obs.gpu_label(level)
+            self._obs.kernel_launches.inc_at(lk, launches)
+            self._obs.gpu_ops.inc_at(lk, gpu_ops)
 
     def gpu_transfer(self, words: int, tag: str):
         """One CPU↔GPU transfer of ``words`` machine words."""
@@ -1055,8 +1102,8 @@ class _Run:
                     f"kernel:{step.name}", "gpu.kernel", start, self.sim.now,
                     device=lane, level=level, items=step.items,
                 )
-                self._c_kernel_launches.inc(device=lane, level=level)
-                self._c_gpu_ops.inc(
+                self._obs.kernel_launches.inc(device=lane, level=level)
+                self._obs.gpu_ops.inc(
                     step.items * step.ops_per_item, device=lane, level=level
                 )
 
@@ -1086,11 +1133,7 @@ class _Run:
         tracer.span(
             tag, "gpu.xfer", start, self.sim.now, device=lane, words=words
         )
-        metrics = tracer.metrics
-        metrics.counter("xfer.bytes").inc(
-            words * self.w.element_bytes, device=lane, dir=tag
-        )
-        metrics.counter("xfer.count").inc(device=lane, dir=tag)
+        self._obs.count_transfer(lane, tag, words)
 
     # -- wrap-up ----------------------------------------------------------
     def finish(
@@ -1101,29 +1144,19 @@ class _Run:
             self.sim.now, self.w.name, *tuple(noise_key)
         )
         if self.tracer is not None:
-            self._wait_hist.observe_many_at(
-                self._wait_key, 0.0, self._zero_waits[0]
+            obs = self._obs
+            obs.core_wait.observe_many_at(
+                obs.lk_wait, 0.0, self._zero_waits[0]
             )
             self._zero_waits[0] = 0
             # Flush the per-level CPU batch aggregates accumulated by
-            # cpu_batch (one counter update per touched level per run).
-            for level, agg in self._cpu_agg.items():
-                lk = self._lk_cpu.get(level)
-                if lk is None:
-                    lk = self._lk_cpu[level] = _metric_label_key(
-                        device="cpu", level=level
-                    )
-                self._c_cpu_ops.inc_at(lk, agg[0])
-                self._c_cpu_batches.inc_at(lk, agg[1])
-                if agg[2]:
-                    self._c_llc.inc_at(lk, agg[2])
+            # cpu_batch.
+            obs.flush_cpu(self._cpu_agg)
             self._cpu_agg.clear()
-            (_m, c_events, c_procs, c_runs, h_makespan, _wh, lk_sim,
-             lk_none, lk_run) = self._fin
-            c_events.inc_at(lk_sim, self.sim.events_processed)
-            c_procs.inc_at(lk_sim, self.sim.processes_spawned)
-            c_runs.inc_at(lk_none)
-            h_makespan.observe_at(lk_run, makespan)
+            obs.events.inc_at(obs.lk_sim, self.sim.events_processed)
+            obs.processes.inc_at(obs.lk_sim, self.sim.processes_spawned)
+            obs.runs.inc_at(obs.lk_none)
+            obs.makespan.observe_at(obs.lk_run, makespan)
             # Close this run's segment on the trace timeline at the
             # *unnoised* clock — span times are raw simulated time.
             self.tracer.end_run(self.sim.now)

@@ -3,10 +3,10 @@
 The paper's point is that the hybrid schedule's behaviour is
 predictable from closed forms; the DES should only pay event-by-event
 cost when something the closed forms cannot express is in play.  For a
-run with no fault plan, no ambient tracer, no functional execute hook
-and no core-pool contention, every schedule the executor runs is a
-straight-line chain of closed-form batch durations — so this module
-replays the whole run with plain float arithmetic and emits the same
+run with no fault plan and no functional execute hook, every schedule
+the executor runs is a straight-line chain of closed-form batch
+durations — so this module replays the whole run with plain float
+arithmetic and emits the same
 :class:`~repro.core.schedule.executor.HybridRunResult`.
 
 Bit-identity is the contract, not an aspiration: the replay performs
@@ -28,12 +28,23 @@ CPU side — is replayed by a minimal two-stream event loop
 and completion-group semantics, including its same-timestamp tie-break
 order, with a conservative bail back to the DES in the one case the
 tie-break cannot be reproduced cheaply (the tail starting at exactly
-the timestamp of another pending pool event).  Anything traced,
-guarded, hooked, or slow-path always takes the DES, and
+the timestamp of another pending pool event).
+
+Under an active tracer the replay records what the DES records: the
+run record, ``cpu.worker``/``cpu.batch``/``gpu.kernel``/``gpu.xfer``
+span rows in DES event order, and the per-level, transfer, core-wait
+and run metrics (``sim.events``/``sim.processes`` excepted: they count
+DES work, and a replayed run does none).  Everything is held back
+until the replay can no longer bail, and a traced advanced run whose
+two sides complete something at the exact same timestamp — where the
+DES order would depend on event sequence numbers — bails to the DES.
+
+Anything guarded, hooked, or slow-path always takes the DES, and
 ``ScheduleExecutor(macro=False)`` forces it per executor (the DES
 oracle the tests compare against).
 The differential suite (``tests/core/schedule/test_macro_path.py``)
-pins DES-vs-macro bit-identity across the fig8 operating grid.
+pins DES-vs-macro bit-identity, traced and untraced, across the fig8
+operating grid.
 """
 
 from __future__ import annotations
@@ -60,28 +71,40 @@ def macro_enabled(executor) -> bool:
 
     Requires the fast path (the reference path exists to exercise the
     DES), no resilience config (explicit or ambient session: faults and
-    deadlines need events), no active tracer (span/metric emission is
-    defined in terms of the event stream), and no functional execute
-    hook (hooks observe per-batch scheduling order).
+    deadlines need events), and no functional execute hook (hooks
+    observe per-batch scheduling order).  An active tracer does not
+    matter: the replay records the same trace.
     """
     return (
         executor.macro is not False
         and executor.fast
         and executor.resilience is None
         and executor.workload.execute is None
-        and _obs_active() is None
         and resilience_session() is None
     )
 
 
+class _TracedLevel(tuple):
+    """A cached GPU level's kernel durations, plus ``steps``: each
+    kernel step's (name, items, ops) for the rows and counters a traced
+    replay records.  Untraced replays cache plain duration tuples."""
+
+
 class _MacroRun:
-    """Closed-form mirror of the executor's per-run state."""
+    """Closed-form mirror of the executor's per-run state.
+
+    A CPU batch travels as ``(durations, level, count, tag prefix)``;
+    the span tag is the prefix for the leaves and ``prefix:level``
+    otherwise, exactly as the DES drivers name their batches.
+    """
 
     __slots__ = (
         "x", "w", "cores", "ws", "llc", "kappa", "spawn",
         "gpu_params", "preferred_wg",
         "cpu_starts", "cpu_ends", "gpu_starts", "gpu_ends",
         "gpu_kernel_time", "transfer_time",
+        "tracer", "ri", "lane", "rows", "dev_rows", "agg", "gpu_incs",
+        "xfers", "zero_waits", "waits",
     )
 
     def __init__(self, executor, cores: Optional[int] = None) -> None:
@@ -105,6 +128,24 @@ class _MacroRun:
         self.gpu_ends = []
         self.gpu_kernel_time = 0.0
         self.transfer_time = 0.0
+        self.tracer = tracer = _obs_active()
+        if tracer is not None:
+            # What the DES would record, held back until finish(): the
+            # run index is already fixed (nothing else records while
+            # the replay runs).  Rows go to ``rows`` in DES order; an
+            # advanced run points ``dev_rows`` at a list of its own and
+            # merges the two sides by time.
+            self.ri = len(tracer.runs)
+            # TeamBatch's worker lane: the CPU trace name, else the pool's.
+            name = cpu_spec.name
+            self.lane = f"{name or f'{name}.cores'}.workers"
+            self.rows = []
+            self.dev_rows = self.rows
+            self.agg = {}  # level -> [ops, batches, llc events], call order
+            self.gpu_incs = []  # (level, launches, ops) per GPU level
+            self.xfers = []  # (tag, words) per transfer
+            self.zero_waits = 0  # core-pool grants with no wait
+            self.waits = []  # queued grants' waits, in grant order
 
     # -- CPU -----------------------------------------------------------
     def team_durations(self, level, count: int):
@@ -148,13 +189,14 @@ class _MacroRun:
         cache[key] = durations
         return durations
 
-    def record_team(self, now: float, durations) -> float:
+    def record_team(self, now: float, batch) -> float:
         """Record one uncontended team batch; returns its fire time.
 
         Mirrors :class:`TeamBatch` on a free pool: every worker is
         granted at ``now``, completion groups drain in ascending end
         order, and each group records one interval per worker.
         """
+        durations = batch[0]
         starts = self.cpu_starts
         ends = self.cpu_ends
         if durations[0] == durations[-1]:
@@ -163,6 +205,8 @@ class _MacroRun:
             for _ in durations:
                 starts.append(now)
                 ends.append(end)
+            if self.tracer is not None:
+                self.trace_team(batch, now, ((end, len(durations)),))
             return end
         # Heterogeneous chunks: group workers by identical end time and
         # drain the groups in end order, exactly like TeamBatch._finish
@@ -171,42 +215,93 @@ class _MacroRun:
         for duration in durations:
             end = now + duration
             groups[end] = groups.get(end, 0) + 1
-        last = now
-        for end in sorted(groups):
-            for _ in range(groups[end]):
+        ordered = sorted(groups.items())
+        for end, workers in ordered:
+            for _ in range(workers):
                 starts.append(now)
                 ends.append(end)
-            last = end
-        return last
+        if self.tracer is not None:
+            self.trace_team(batch, now, ordered)
+        return ordered[-1][0]
 
-    def cpu_batch(self, now: float, level, count: int) -> float:
+    def cpu_batch(self, now: float, level, count: int, prefix: str) -> float:
         """One uncontended worker-team batch at ``now``; returns its end."""
         durations = self.team_durations(level, count)
         if not durations:
             return now
-        return self.record_team(now, durations)
+        return self.record_team(now, (durations, level, count, prefix))
+
+    # -- CPU tracing (traced runs only) ----------------------------------
+    def trace_batch_start(self, batch) -> str:
+        """The DES's ``cpu_batch`` call: fold the batch into its level's
+        counter aggregate; returns the batch's span tag."""
+        _durations, level, count, prefix = batch
+        agg = self.agg.get(level)
+        if agg is None:
+            agg = self.agg[level] = [0.0, 0, 0]
+        agg[0] += count * self.w.cost_at(level)
+        agg[1] += 1
+        workers = count if count < self.cores else self.cores
+        if contention_factor(self.ws, self.llc, workers, self.kappa) > 1.0:
+            agg[2] += 1
+        return prefix if level == LEAVES else f"{prefix}:{level}"
+
+    def trace_group(self, tag: str, starts, end: float) -> None:
+        """The ``cpu.worker`` row of one completion group."""
+        self.rows.append(
+            (tag, "cpu.worker", starts[0] if len(starts) == 1 else starts,
+             end, self.lane, self.ri, None)
+        )
+
+    def trace_batch_end(self, batch, tag: str, start: float,
+                        end: float) -> None:
+        """The ``cpu.batch`` row, with the executor's shared attr dict."""
+        _durations, level, count, _prefix = batch
+        workers = count if count < self.cores else self.cores
+        cache = self.x._obs_caches[2]
+        key = (tag, count, workers)
+        attrs = cache.get(key)
+        if attrs is None:
+            attrs = cache[key] = {
+                "level": level,
+                "phase": "base" if level == LEAVES else "combine",
+                "tasks": count,
+                "workers": workers,
+            }
+        self.rows.append((tag, "cpu.batch", start, end, "cpu", self.ri, attrs))
+
+    def trace_team(self, batch, now: float, groups) -> None:
+        """Rows and counters of one uncontended team: its whole-team
+        core acquire waits for nothing."""
+        tag = self.trace_batch_start(batch)
+        self.zero_waits += 1
+        for end, workers in groups:
+            self.trace_group(tag, (now,) * workers, end)
+        self.trace_batch_end(batch, tag, now, groups[-1][0])
 
     # -- GPU -----------------------------------------------------------
     def gpu_level(self, now: float, level, count: int, offset: int) -> float:
         """The kernel chain of one level; returns its end time."""
         if count == 0:
             return now
-        # The macro path needs only durations (its records carry no
-        # kernel tags), and gpu_steps is a pure function of its
-        # arguments — so whole levels cache as duration tuples on the
-        # executor, skipping step construction and kernel pricing on
-        # the sweeps that replay identical levels hundreds of times.
+        # gpu_steps is a pure function of its arguments, so whole levels
+        # cache on the executor as duration tuples, skipping step
+        # construction and kernel pricing on the sweeps that replay
+        # identical levels hundreds of times.  A traced replay upgrades
+        # its entry to a _TracedLevel carrying the steps' span data.
+        traced = self.tracer is not None
         level_cache = self.x._gpu_level_cache
         key = (level, count, offset)
         durations = level_cache.get(key)
-        if durations is None:
+        if durations is None or (traced and type(durations) is tuple):
             from repro.core.schedule.executor import _step_kernel
 
             preferred = self.preferred_wg
             params = self.gpu_params
             kernel_cache = self.x._kernel_cache
             priced = []
-            for step in self.w.gpu_steps(level, count, offset):
+            steps = self.w.gpu_steps(level, count, offset)
+            for step in steps:
                 duration = kernel_cache.get(step)
                 if duration is None:
                     duration = kernel_cache[step] = kernel_launch_time(
@@ -216,26 +311,65 @@ class _MacroRun:
                         {},
                     )
                 priced.append(duration)
-            durations = level_cache[key] = tuple(priced)
+            if traced:
+                durations = _TracedLevel(priced)
+                durations.steps = tuple(
+                    (step.name, step.items, step.items * step.ops_per_item)
+                    for step in steps
+                )
+            else:
+                durations = tuple(priced)
+            level_cache[key] = durations
         starts = self.gpu_starts
         ends = self.gpu_ends
         kernel_time = self.gpu_kernel_time
-        for duration in durations:
+        if not traced:
+            for duration in durations:
+                end = now + duration
+                starts.append(now)
+                ends.append(end)
+                kernel_time += duration
+                now = end
+            self.gpu_kernel_time = kernel_time
+            return now
+        rows = self.dev_rows
+        ri = self.ri
+        cache = self.x._obs_caches[2]
+        ops = 0.0
+        for duration, (name, items, step_ops) in zip(
+            durations, durations.steps
+        ):
             end = now + duration
             starts.append(now)
             ends.append(end)
             kernel_time += duration
+            ck = (name, level, items, False)
+            ent = cache.get(ck)
+            if ent is None:
+                ent = cache[ck] = (
+                    f"kernel:{name}",
+                    {"level": level, "items": items, "parallel": False},
+                )
+            rows.append((ent[0], "gpu.kernel", now, end, "gpu", ri, ent[1]))
+            ops += step_ops
             now = end
         self.gpu_kernel_time = kernel_time
+        if durations:
+            self.gpu_incs.append((level, len(durations), ops))
         return now
 
-    def gpu_transfer(self, now: float, words: int) -> float:
+    def gpu_transfer(self, now: float, words: int, tag: str) -> float:
         """One host↔device transfer; returns its end time."""
         duration = self.x.hpu.transfer_time(words)
         end = now + duration
         self.gpu_starts.append(now)
         self.gpu_ends.append(end)
         self.transfer_time += duration
+        if self.tracer is not None:
+            self.dev_rows.append(
+                (tag, "gpu.xfer", now, end, "gpu", self.ri, {"words": words})
+            )
+            self.xfers.append((tag, words))
         return end
 
     # -- wrap-up ---------------------------------------------------------
@@ -245,6 +379,8 @@ class _MacroRun:
 
         x = self.x
         makespan = x.noise.apply(final_now, self.w.name, *tuple(noise_key))
+        if self.tracer is not None:
+            self.flush(final_now, makespan)
         cpu_merged = merge_interval_arrays(self.cpu_starts, self.cpu_ends)
         gpu_merged = merge_interval_arrays(self.gpu_starts, self.gpu_ends)
         return HybridRunResult(
@@ -265,21 +401,80 @@ class _MacroRun:
             recovery=(),
         )
 
+    def flush(self, final_now: float, makespan: float) -> None:
+        """Record the replayed run on the tracer as ``_Run`` would."""
+        x = self.x
+        w = self.w
+        tracer = self.tracer
+        tracer.begin_run(
+            f"{x.hpu.name}:{w.name}",
+            platform=x.hpu.name,
+            workload=w.name,
+            n=w.total_elements,
+            cores=self.cores,
+            fast=x.fast,
+        )
+        obs = x._obs_metrics(tracer.metrics)
+        tracer.span_rows.extend(self.rows)
+        for wait in self.waits:
+            obs.core_wait.observe_at(obs.lk_wait, wait)
+        obs.core_wait.observe_many_at(obs.lk_wait, 0.0, self.zero_waits)
+        for level, launches, ops in self.gpu_incs:
+            key = obs.gpu_label(level)
+            obs.kernel_launches.inc_at(key, launches)
+            obs.gpu_ops.inc_at(key, ops)
+        for tag, words in self.xfers:
+            obs.count_transfer("gpu", tag, words)
+        obs.flush_cpu(self.agg)
+        obs.runs.inc_at(obs.lk_none)
+        obs.makespan.observe_at(obs.lk_run, makespan)
+        tracer.end_run(final_now)
+
+
+def _merge_by_time(pool_rows, device_rows):
+    """Interleave the two sides' rows in DES order, or ``None`` to bail.
+
+    Each side appends its rows in its own order at nondecreasing times,
+    so the DES order is the merge by time — except where the two sides
+    record at the same timestamp, which the engine orders by sequence
+    numbers the replay does not track.
+    """
+    if not device_rows:
+        return pool_rows
+    merged = []
+    append = merged.append
+    i = j = 0
+    n_pool = len(pool_rows)
+    n_dev = len(device_rows)
+    while i < n_pool and j < n_dev:
+        t_pool = pool_rows[i][3]
+        t_dev = device_rows[j][3]
+        if t_pool < t_dev:
+            append(pool_rows[i])
+            i += 1
+        elif t_dev < t_pool:
+            append(device_rows[j])
+            j += 1
+        else:
+            return None
+    merged.extend(pool_rows[i:])
+    merged.extend(device_rows[j:])
+    return merged
+
 
 # ----------------------------------------------------------------------
 # contended two-stream replay
 # ----------------------------------------------------------------------
-def _replay_tail_contention(
-    rec_starts, rec_ends, capacity: int,
-    cpu_batches, tail_batches, tail_start: float,
-):
+def _replay_tail_contention(run, cpu_batches, tail_batches,
+                            tail_start: float):
     """Replay two batch streams contending for the core pool.
 
     ``cpu_batches`` starts at 0, ``tail_batches`` at ``tail_start``;
-    each is a list of per-batch duration lists.  Returns ``(cpu_done,
-    tail_done)`` fire times and appends the busy intervals to the
-    ``rec_starts``/``rec_ends`` columns in DES trace order — or ``None``
-    to bail to the DES.
+    each is a list of ``(durations, level, count, prefix)`` batches.
+    Returns ``(cpu_done, tail_done)`` fire times and appends the busy
+    intervals to ``run``'s CPU columns in DES trace order (and, traced,
+    the rows, counter aggregates and core waits) — or ``None`` to bail
+    to the DES.
 
     This is the DES, shrunk to the only state the contended phase has:
     a unit-core FIFO pool and two sequential streams of
@@ -292,7 +487,13 @@ def _replay_tail_contention(
     tail's first start, which the DES pushes from a *GPU* event: if any
     pool event shares that exact timestamp, the relative order depends
     on event history we did not track — bail and let the DES decide.
+    A batch START pops exactly where the DES calls ``cpu_batch``, so the
+    traced per-level aggregates see the same call order.
     """
+    rec_starts = run.cpu_starts
+    rec_ends = run.cpu_ends
+    capacity = run.cores
+    traced = run.tracer is not None
     heap = []
     seq = 0
     in_use = 0
@@ -303,18 +504,21 @@ def _replay_tail_contention(
     streams = (cpu_batches, tail_batches)
     index = [0, 0]  # next batch to create, per stream
     done = [0.0, 0.0]
-    # batch state: [stream, remaining_workers, completion_groups]
-    # heap entry: (time, seq, kind, batch, payload) — kind 1 is a batch
-    # START carrying its durations, kind 0 a completion-group FINISH
-    # carrying its end time.  seq is unique, so entries never compare
-    # beyond it.
+    # batch state: [stream, remaining_workers, completion_groups, spec,
+    # start time, tag].  heap entry: (time, seq, kind, batch, payload) —
+    # kind 1 is a batch START carrying its durations, kind 0 a
+    # completion-group FINISH carrying its end time.  seq is unique, so
+    # entries never compare beyond it.
 
     def start_batch(stream: int, time: float) -> None:
         nonlocal seq
-        durations = streams[stream][index[stream]]
+        spec = streams[stream][index[stream]]
         index[stream] += 1
+        durations = spec[0]
         heappush(
-            heap, (time, seq, 1, [stream, len(durations), {}], durations)
+            heap,
+            (time, seq, 1, [stream, len(durations), {}, spec, time, None],
+             durations),
         )
         seq += 1
 
@@ -337,9 +541,16 @@ def _replay_tail_contention(
         if sq == 1 and heap and heap[0][0] == time:
             return None  # tail start ties a pool event: order unknown
         if kind == 1:  # batch START: grant workers in order, queue rest
+            whole = not waiters and in_use + len(payload) <= capacity
+            if traced:
+                batch[5] = run.trace_batch_start(batch[3])
+                if whole:  # TeamBatch acquires the whole team at once
+                    run.zero_waits += 1
             for duration in payload:
                 if not waiters and in_use < capacity:
                     grant(duration, batch, time)
+                    if traced and not whole:
+                        run.zero_waits += 1
                 else:
                     waiters.append((duration, batch))
         else:  # completion-group FINISH at time == payload
@@ -347,12 +558,18 @@ def _replay_tail_contention(
             for start in starts:
                 rec_starts.append(start)
                 rec_ends.append(payload)
+            if traced:
+                run.trace_group(batch[5], tuple(starts), payload)
             in_use -= len(starts)
             while waiters and in_use < capacity:
                 duration, waiting = waiters.popleft()
                 grant(duration, waiting, time)
+                if traced:
+                    run.waits.append(time - waiting[4])
             batch[1] -= len(starts)
             if batch[1] == 0:  # batch fires: its stream advances
+                if traced:
+                    run.trace_batch_end(batch[3], batch[5], batch[4], time)
                 stream = batch[0]
                 if index[stream] < len(streams[stream]):
                     start_batch(stream, time)
@@ -374,9 +591,9 @@ def try_macro_cpu_only(executor, cores: Optional[int] = None):
         return None  # the DES path raises the ScheduleError
     run = _MacroRun(executor, cores=resolved)
     w = executor.workload
-    now = run.cpu_batch(0.0, LEAVES, w.leaf_tasks)
+    now = run.cpu_batch(0.0, LEAVES, w.leaf_tasks, "leaves")
     for level in range(w.k - 1, -1, -1):
-        now = run.cpu_batch(now, level, w.tasks_at(level))
+        now = run.cpu_batch(now, level, w.tasks_at(level), "level")
     return run.finish(now, ("cpu-only", cores))
 
 
@@ -389,16 +606,21 @@ def try_macro_basic(executor, plan):
     now = 0.0
     if plan.use_gpu:
         total_words = w.words_for_tasks(LEAVES, w.leaf_tasks)
-        now = run.gpu_transfer(now, total_words)
+        now = run.gpu_transfer(now, total_words, "h2d")
         now = run.gpu_level(now, LEAVES, w.leaf_tasks, 0)
         for level in plan.gpu_levels(w.k):
             now = run.gpu_level(now, level, w.tasks_at(level), 0)
-        now = run.gpu_transfer(now, total_words)
+        now = run.gpu_transfer(now, total_words, "d2h")
     else:
-        now = run.cpu_batch(now, LEAVES, w.leaf_tasks)
+        now = run.cpu_batch(now, LEAVES, w.leaf_tasks, "leaves")
     for level in plan.cpu_levels(w.k):
-        now = run.cpu_batch(now, level, w.tasks_at(level))
-    return run.finish(now, ("basic", plan.crossover))
+        now = run.cpu_batch(now, level, w.tasks_at(level), "level")
+    result = run.finish(now, ("basic", plan.crossover))
+    if run.tracer is not None:
+        executor._note_conformance(
+            run.tracer, run.ri, result, basic_plan=plan
+        )
+    return result
 
 
 def try_macro_advanced(executor, plan):
@@ -422,6 +644,9 @@ def try_macro_advanced(executor, plan):
     cpu_leaves = plan.cpu_leaf_tasks(w)
     gpu_leaves = w.leaf_tasks - cpu_leaves
     run = _MacroRun(executor)
+    traced = run.tracer is not None
+    if traced:
+        run.dev_rows = []
     # Split counts, inlined from plan.cpu_tasks_at/gpu_tasks_at: the
     # loops below stay inside the accessors' checked level range.
     level_tasks = w.level_tasks
@@ -432,12 +657,12 @@ def try_macro_advanced(executor, plan):
     cpu_batches = []
     durations = run.team_durations(LEAVES, cpu_leaves)
     if durations:
-        cpu_batches.append(durations)
+        cpu_batches.append((durations, LEAVES, cpu_leaves, "cpu-side"))
     for level in range(w.k - 1, t - 1, -1):
         count = cpu_split * (level_tasks[level] // total_split)
         durations = run.team_durations(level, count)
         if durations:
-            cpu_batches.append(durations)
+            cpu_batches.append((durations, level, count, "cpu-side"))
 
     gpu_span = 0.0
     cpu_end = 0.0
@@ -445,13 +670,13 @@ def try_macro_advanced(executor, plan):
     if gpu_leaves:
         # GPU side: h2d, kernel chain, d2h, then the CPU tail.
         words = w.words_for_tasks(LEAVES, gpu_leaves)
-        dev = run.gpu_transfer(0.0, words)
+        dev = run.gpu_transfer(0.0, words, "h2d")
         dev = run.gpu_level(dev, LEAVES, gpu_leaves, cpu_leaves)
         for level in range(w.k - 1, y - 1, -1):
             tasks = level_tasks[level]
             cpu_count = cpu_split * (tasks // total_split)
             dev = run.gpu_level(dev, level, tasks - cpu_count, cpu_count)
-        dev = run.gpu_transfer(dev, words)
+        dev = run.gpu_transfer(dev, words, "d2h")
         gpu_span = dev
         tail_batches = []
         for level in range(y - 1, t - 1, -1):
@@ -459,37 +684,46 @@ def try_macro_advanced(executor, plan):
             count = tasks - cpu_split * (tasks // total_split)
             durations = run.team_durations(level, count)
             if durations:
-                tail_batches.append(durations)
+                tail_batches.append((durations, level, count, "gpu-tail"))
         # Uncontended critical path of the CPU side: each batch fires
         # at start + durations[0] (its longest worker).
         dry_end = 0.0
-        for durations in cpu_batches:
-            dry_end += durations[0]
+        for batch in cpu_batches:
+            dry_end += batch[0][0]
         if tail_batches and dev < dry_end:
             ends = _replay_tail_contention(
-                run.cpu_starts, run.cpu_ends, run.cores,
-                cpu_batches, tail_batches, dev,
+                run, cpu_batches, tail_batches, dev
             )
             if ends is None:
                 return None  # ambiguous tie: let the DES order it
             cpu_end, tail_done = ends
         else:
-            for durations in cpu_batches:
-                cpu_end = run.record_team(cpu_end, durations)
+            for batch in cpu_batches:
+                cpu_end = run.record_team(cpu_end, batch)
             tail_done = dev
-            for durations in tail_batches:
-                tail_done = run.record_team(tail_done, durations)
+            for batch in tail_batches:
+                tail_done = run.record_team(tail_done, batch)
+        if traced:
+            rows = _merge_by_time(run.rows, run.dev_rows)
+            if rows is None:
+                return None  # the sides record at one timestamp
+            run.rows = run.dev_rows = rows
     else:
-        for durations in cpu_batches:
-            cpu_end = run.record_team(cpu_end, durations)
+        for batch in cpu_batches:
+            cpu_end = run.record_team(cpu_end, batch)
 
     # Top: full-width levels t-1 .. 0 after both sides complete.
     now = cpu_end if cpu_end >= tail_done else tail_done
     for level in range(t - 1, -1, -1):
-        now = run.cpu_batch(now, level, level_tasks[level])
-    return run.finish(
+        now = run.cpu_batch(now, level, level_tasks[level], "top")
+    result = run.finish(
         now,
         ("advanced", plan.cpu_tasks_at_split, t, y),
         cpu_side=cpu_end,
         gpu_side=gpu_span,
     )
+    if traced:
+        executor._note_conformance(
+            run.tracer, run.ri, result, advanced_plan=plan
+        )
+    return result

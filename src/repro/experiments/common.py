@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.result import ExperimentResult  # noqa: F401 (re-export)
 from repro.obs.tracer import active as _obs_active
+from repro.util.ambient import resilience_session
 from repro.util.grids import arange, round_all
 from repro.util.rng import NO_NOISE, NoiseModel
 
@@ -59,23 +60,36 @@ class BestPoint:
 #: identical sweeps always coincide.
 _TUNERS: Dict[tuple, object] = {}
 
-#: The memo of the traced run in progress, as (weak tracer ref, memo).
-#: A traced run records only the executor runs its tuners actually
-#: spend, so sharing :data:`_TUNERS` would make its trace, metrics and
-#: conformance depend on what the process ran before.  Each tracer gets
-#: a fresh memo instead — what a cold traced process sees — which still
-#: spans the whole run (Fig. 10 after Fig. 8 in one invocation).
-_TRACED_TUNERS: Tuple[Optional[weakref.ref], Dict[tuple, object]] = (None, {})
+#: The memo of the traced or resilient run in progress, as (weak ref to
+#: its tracer or None, weak ref to its resilience session or None,
+#: memo).  A traced run records only the executor runs its tuners
+#: actually spend, and a run under a fault plan must meet its faults,
+#: so sharing :data:`_TUNERS` would make its trace, metrics,
+#: conformance or recovery depend on what the process ran before.  Each
+#: (tracer, session) pair gets a fresh memo instead — what a cold
+#: process sees — which still spans the whole run (Fig. 10 after Fig. 8
+#: in one invocation).
+_SCOPED_TUNERS: Tuple[
+    Optional[weakref.ref], Optional[weakref.ref], Dict[tuple, object]
+] = (None, None, {})
 
 
-def _tuner_memo(tracer) -> Dict[tuple, object]:
-    global _TRACED_TUNERS
-    if tracer is None:
+def _is(ref: Optional[weakref.ref], obj) -> bool:
+    return obj is None if ref is None else ref() is obj
+
+
+def _tuner_memo(tracer, session) -> Dict[tuple, object]:
+    global _SCOPED_TUNERS
+    if tracer is None and session is None:
         return _TUNERS
-    ref, memo = _TRACED_TUNERS
-    if ref is None or ref() is not tracer:
+    tracer_ref, session_ref, memo = _SCOPED_TUNERS
+    if not (_is(tracer_ref, tracer) and _is(session_ref, session)):
         memo = {}
-        _TRACED_TUNERS = (weakref.ref(tracer), memo)
+        _SCOPED_TUNERS = (
+            None if tracer is None else weakref.ref(tracer),
+            None if session is None else weakref.ref(session),
+            memo,
+        )
     return memo
 
 
@@ -85,7 +99,7 @@ def _tuner_for(
     from repro.core.autotune import AutoTuner
     from repro.workloads import get as get_workload
 
-    memo = _tuner_memo(_obs_active())
+    memo = _tuner_memo(_obs_active(), resilience_session())
     key = (hpu.name, workload, n, noise)
     tuner = memo.get(key)
     if tuner is None:

@@ -8,10 +8,14 @@ everything — must equal the DES's output exactly, including on plans
 whose GPU tail contends for the core pool (the two-stream replay).
 These tests pin that contract across a fig8-style operating grid,
 verify every escape hatch back to the DES (``macro=False``, the
-reference path, active tracing), and check the
+reference path, a resilience config or session), pin that a traced
+macro run records the DES's trace and metrics byte for byte, and check
+the
 analytic-model conformance oracle accepts macro-path runs within the
 committed fig8 band.
 """
+
+import json
 
 import pytest
 
@@ -28,6 +32,7 @@ from repro.core.schedule import (
 )
 from repro.core.schedule import macro as macro_module
 from repro.hpu import HPU1, HPU2
+from repro.obs.export import chrome_trace, metrics_json
 from repro.obs.tracer import Tracer, tracing
 from repro.util.rng import NoiseModel
 
@@ -135,6 +140,170 @@ class TestBasicAndCpuOnlyBitIdentity:
         assert mac == des
 
 
+#: Counters of DES work (events processed, processes spawned): the only
+#: metrics a macro-replayed run leaves out.
+DES_ONLY = ("sim.events", "sim.processes")
+
+
+def _traced(runs):
+    """Trace ``runs`` (callables) under one fresh tracer.
+
+    Returns (results, Chrome trace bytes, run attrs, metrics document
+    without the DES-only counters, whether any run took the DES).
+    """
+    tracer = Tracer()
+    with tracing(tracer):
+        results = [run() for run in runs]
+    metrics = metrics_json(tracer)
+    des_events = tracer.metrics.counter("sim.events").total()
+    for name in DES_ONLY:
+        metrics["summary"].pop(name, None)
+        metrics["metrics"].pop(name, None)
+    return (
+        results,
+        json.dumps(chrome_trace(tracer)),
+        [(r.label, r.offset, r.duration, r.attrs) for r in tracer.runs],
+        metrics,
+        des_events > 0,
+    )
+
+
+def _plan_runs(hpu, workload, points, macro, warm=False):
+    """One executor running every (kind, arg) point in order; ``warm``
+    runs them once untraced first, filling the executor's caches."""
+    executor = ScheduleExecutor(hpu, workload, macro=macro)
+    runs = []
+    for kind, arg in points:
+        if kind == "advanced":
+            runs.append(lambda p=arg: executor.run_advanced(p))
+        elif kind == "basic":
+            runs.append(lambda p=arg: executor.run_basic(p))
+        else:
+            runs.append(lambda c=arg: executor.run_cpu_only(c))
+    if warm:
+        for run in runs:
+            run()
+    return runs
+
+
+def _assert_traced_identity(hpu, workload, points, warm=False):
+    des = _traced(_plan_runs(hpu, workload, points, macro=False, warm=warm))
+    mac = _traced(_plan_runs(hpu, workload, points, macro=None, warm=warm))
+    if mac[4]:
+        pytest.skip("a run bailed to the DES (same-timestamp tie)")
+    assert mac[0] == des[0]  # results
+    assert mac[1] == des[1]  # Chrome trace, byte for byte
+    assert mac[2] == des[2]  # run records and their attrs
+    assert mac[3] == des[3]  # metrics, summary included
+
+
+class TestTracedBitIdentity:
+    """A traced macro run records exactly what its DES twin records.
+
+    Same Chrome trace bytes (rows in DES event order, hence the same
+    lane ids), same run records (with the tuner-style annotations and
+    the conformance oracle's attrs), same metrics document — apart
+    from ``sim.events``/``sim.processes``, which count DES work only.
+    """
+
+    @pytest.mark.parametrize("platform", sorted(PLATFORMS))
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_advanced_grid(self, platform, n, alpha):
+        hpu = PLATFORMS[platform]
+        workload = make_mergesort_workload(n)
+        plan = AdvancedSchedule().plan(workload, hpu.parameters, alpha=alpha)
+        _assert_traced_identity(hpu, workload, [("advanced", plan)])
+
+    @pytest.mark.parametrize("platform", sorted(PLATFORMS))
+    @pytest.mark.parametrize(
+        "alpha,transfer_level", [(0.35, 16), (0.5, 14), (0.5, 16)]
+    )
+    def test_contended_tail(self, platform, alpha, transfer_level,
+                            monkeypatch):
+        replays = []
+        original = macro_module._replay_tail_contention
+
+        def counting(*args, **kwargs):
+            out = original(*args, **kwargs)
+            replays.append(out is not None)
+            return out
+
+        monkeypatch.setattr(
+            macro_module, "_replay_tail_contention", counting
+        )
+        hpu = PLATFORMS[platform]
+        workload = make_mergesort_workload(1 << 18)
+        plan = AdvancedSchedule().plan(
+            workload, hpu.parameters, alpha=alpha,
+            transfer_level=transfer_level,
+        )
+        _assert_traced_identity(hpu, workload, [("advanced", plan)])
+        assert replays, "point did not contend for the core pool"
+
+    @pytest.mark.parametrize("n", [1 << 10, 1 << 14, 1 << 21])
+    @pytest.mark.parametrize("cores", [None, 1, 3])
+    def test_cpu_only_with_cores(self, n, cores):
+        """Three cores give heterogeneous worker teams; 2^21 elements
+        overflow the last-level cache (LLC-pressure counters)."""
+        workload = make_mergesort_workload(n)
+        _assert_traced_identity(HPU1, workload, [("cpu", cores)])
+
+    @pytest.mark.parametrize("platform", sorted(PLATFORMS))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_basic(self, platform, n):
+        hpu = PLATFORMS[platform]
+        workload = make_mergesort_workload(n)
+        points = [("basic", BasicSchedule().plan(workload, hpu.parameters))]
+        _assert_traced_identity(hpu, workload, points)
+
+    @pytest.mark.parametrize("platform", sorted(PLATFORMS))
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_many_runs_on_one_tracer(self, platform, warm):
+        """A sweep-like sequence on one tracer and one executor: label
+        first-touch order, shared attr dicts and run offsets carry
+        across runs exactly as in the DES — also on an executor whose
+        caches untraced runs filled first."""
+        hpu = PLATFORMS[platform]
+        workload = make_mergesort_workload(1 << 15)
+        schedule = AdvancedSchedule()
+        points = [("cpu", None), ("cpu", 3)]
+        points.append(("basic", BasicSchedule().plan(workload, hpu.parameters)))
+        for alpha in (0.05, 0.1, 0.2, 0.35):
+            for level in (workload.k - 6, workload.k - 2, workload.k):
+                points.append((
+                    "advanced",
+                    schedule.plan(
+                        workload, hpu.parameters, alpha=alpha,
+                        transfer_level=level,
+                    ),
+                ))
+        _assert_traced_identity(hpu, workload, points, warm=warm)
+
+    def test_traced_sweep_takes_the_macro_path(self, monkeypatch):
+        """A traced tuner sweep replays on the macro path and records
+        what the same sweep records through the DES."""
+        from repro.core.autotune import AutoTuner
+
+        def sweep():
+            workload = make_mergesort_workload(1 << 16)
+            tuner = AutoTuner(HPU2, workload)
+            return tuner.tune_adaptive(
+                alphas=[0.04, 0.12, 0.2, 0.28, 0.36],
+                levels=range(workload.k - 8, workload.k + 1),
+            )
+
+        mac = _traced([sweep])
+        assert not mac[4], "traced sweep ran the DES"
+        monkeypatch.setattr(macro_module, "macro_enabled", lambda x: False)
+        des = _traced([sweep])
+        assert des[4]
+        assert mac[0] == des[0]
+        assert mac[1] == des[1]
+        assert mac[2] == des[2]
+        assert mac[3] == des[3]
+
+
 class TestEligibilityGates:
     def _executor(self, **kwargs):
         return ScheduleExecutor(
@@ -150,11 +319,24 @@ class TestEligibilityGates:
     def test_reference_path_forces_des(self):
         assert not macro_module.macro_enabled(self._executor(fast=False))
 
-    def test_active_tracer_forces_des(self):
+    def test_active_tracer_keeps_macro_eligible(self):
         executor = self._executor()
         with tracing(Tracer()):
-            assert not macro_module.macro_enabled(executor)
+            assert macro_module.macro_enabled(executor)
         assert macro_module.macro_enabled(executor)
+
+    def test_fault_plan_or_session_forces_des(self):
+        from repro.resilience import NO_FAULTS, ResilienceConfig, resilient
+
+        config = ResilienceConfig(plan=NO_FAULTS)
+        with tracing(Tracer()):
+            assert not macro_module.macro_enabled(
+                self._executor(resilience=config)
+            )
+            executor = self._executor()
+            with resilient(config):
+                assert not macro_module.macro_enabled(executor)
+            assert macro_module.macro_enabled(executor)
 
 
 class TestMacroConformance:

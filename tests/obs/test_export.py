@@ -86,6 +86,78 @@ class TestChromeTrace:
         json.loads(path.read_text())  # must not raise
 
 
+def _dict_form_bytes(tracer: Tracer) -> bytes:
+    """What write_chrome_trace wrote before it streamed."""
+    return (json.dumps(chrome_trace(tracer)) + "\n").encode()
+
+
+class TestStreamedChromeTrace:
+    """write_chrome_trace streams the document the dict form describes,
+    byte for byte."""
+
+    def _assert_same_bytes(self, tracer, tmp_path):
+        path = write_chrome_trace(tmp_path / "trace.json", tracer)
+        assert path.read_bytes() == _dict_form_bytes(tracer)
+
+    def test_fixture_tracer(self, tmp_path):
+        self._assert_same_bytes(make_tracer(), tmp_path)
+
+    def test_empty_tracer(self, tmp_path):
+        self._assert_same_bytes(Tracer(name="empty"), tmp_path)
+
+    def test_team_rows_in_and_out_of_runs(self, tmp_path):
+        tr = Tracer(name="teams")
+        # Outside any run at offset 0, then at a non-zero cursor.
+        tr.span_many("w", "cpu.worker", [0.0, 0.0, 0.0], 2.0, device="x")
+        tr.begin_run("first")
+        tr.span_many("w", "cpu.worker", [1.0, 1.0], 3.5, device="cpu.workers")
+        tr.span_many("w", "cpu.worker", [0.5, 1.25, 2.0], 4.0,
+                     device="cpu.workers")
+        tr.span_many("w", "cpu.worker", [0.25], 4.0, device="cpu.workers")
+        tr.end_run(4.0)
+        tr.span_many("late", "cpu.worker", [0.0, 1.0], 1.5, device="x")
+        tr.span_many("late", "cpu.worker", [0.5, 0.5], 1.5, device="x")
+        tr.span("solo", "misc", 0.1, 0.2)  # untagged lane, offset 4.0
+        tr.begin_run("second", alpha=0.3)
+        tr.span_many("w", "cpu.worker", [0.0, 0.0], 0.1, device="cpu.workers")
+        tr.end_run(0.1)
+        assert tr.span_rows[4][5] is None and tr.offset == 4.1
+        self._assert_same_bytes(tr, tmp_path)
+
+    def test_shared_attr_dicts_instants_and_odd_values(self, tmp_path):
+        tr = Tracer(name="näme \u2603")
+        shared = {"level": 3, "phase": "combine", "tasks": 8}
+        tr.instant("sweep:start", "autotune.sweep", device="runs", n=4)
+        for index in range(3):
+            tr.begin_run(f"run-{index}", obj=object(), none=None, flag=True)
+            tr.span_at("batch", "cpu.batch", 0.0, 1.0, "cpu", shared)
+            tr.span_at("batch", "cpu.batch", 1.0, 2.5, "cpu", shared)
+            tr.span("kernel:ü", "gpu.kernel", 0.0, 0.75, device="gpü",
+                    items=7, tup=(1, 2), nan=float("nan"))
+            tr.span("clash", "misc", 0.0, 1.0, device="cpu", run="mine")
+            tr.span("empty", "misc", 0.5, 0.5, device="")
+            tr.instant("mark", "misc", 0.5, device="cpu", big=10 ** 30)
+            tr.end_run(2.5)
+        tr.span_at("after", "cpu.batch", 0.0, 1e-300, "cpu", shared)
+        tr.span("huge", "misc", 0.0, 1e300, device="cpu")
+        tr.instant("end", "misc")
+        self._assert_same_bytes(tr, tmp_path)
+
+    def test_non_finite_times(self, tmp_path):
+        tr = Tracer()
+        tr.span("inf", "misc", 0.0, float("inf"), device="cpu")
+        tr.span_many("w", "cpu.worker", [float("-inf"), 1.0], 2.0)
+        self._assert_same_bytes(tr, tmp_path)
+
+    def test_absorbed_snapshot(self, tmp_path):
+        """A stitched tracer mixes rows of several timelines."""
+        base = make_tracer()
+        other = make_tracer()
+        other.span_many("w", "cpu.worker", [0.0, 1.0], 2.0, device="cpu")
+        base.absorb(other.snapshot())
+        self._assert_same_bytes(base, tmp_path)
+
+
 class TestMetricsJson:
     def test_structure(self):
         doc = metrics_json(make_tracer())

@@ -31,10 +31,12 @@ def _clean_state():
     deactivate()
 
 
-def run_advanced(hpu_name, n, fast, resilience=None):
+def run_advanced(hpu_name, n, fast, resilience=None, macro=None):
     hpu = PLATFORMS[hpu_name]
     workload = make_mergesort_workload(n)
-    executor = ScheduleExecutor(hpu, workload, fast=fast, resilience=resilience)
+    executor = ScheduleExecutor(
+        hpu, workload, fast=fast, resilience=resilience, macro=macro
+    )
     plan = AdvancedSchedule().plan(workload, hpu.parameters)
     return executor.run_advanced(plan)
 
@@ -73,9 +75,11 @@ def test_advanced_identical_under_installed_session():
 
 def test_identical_with_both_tracer_and_empty_session(this_n=1 << 12):
     """Resilience and tracing together still change nothing — and the
-    metrics/spans the tracer collects are identical too."""
+    metrics/spans the tracer collects are identical too.  A session
+    runs the DES, so the baseline does too: the DES-only event and
+    process counters compare as well."""
     with tracing(Tracer(name="base")) as tr_base:
-        baseline = run_advanced("HPU1", this_n, True)
+        baseline = run_advanced("HPU1", this_n, True, macro=False)
     base_summary = tr_base.metrics.summary()
     base_spans = [(s.name, s.start, s.end) for s in tr_base.spans]
 

@@ -201,6 +201,43 @@ class TestTracedRunIsolation:
         assert diff_manifests(a, b) == []
 
 
+class TestFaultRunIsolation:
+    def test_fault_run_meets_its_faults_after_a_plain_run(
+        self, tmp_path, monkeypatch
+    ):
+        """A run under a fault plan may not reuse what clean runs in the
+        same process memoized: its recovery ledger is the same whether
+        or not a plain run of the same sweep came first."""
+        from repro.experiments import common
+        from repro.resilience import (
+            FaultPlan,
+            FaultSpec,
+            ResilienceConfig,
+            RetryPolicy,
+        )
+
+        monkeypatch.setattr(common, "_TUNERS", {})  # a cold process
+        config = ResilienceConfig(
+            plan=FaultPlan(
+                name="one-shot-kernel",
+                faults=(FaultSpec(site="kernel", times=1),),
+            ),
+            retry=RetryPolicy(max_retries=2),
+        )
+
+        def faulted(run_id):
+            outcome = run_request(
+                tiny_spec(tmp_path, run_id=run_id, resilience=config)
+            )
+            return RunManifest.load(outcome.manifest_path).recovery
+
+        cold = faulted("cold")
+        run_request(tiny_spec(tmp_path, run_id="plain"))
+        after_plain = faulted("after-plain")
+        assert len(cold) > 0
+        assert after_plain == cold
+
+
 class TestDaemonKeyMatchesRunnerKey:
     """The key the daemon files a job under (from the validated
     request) must equal the key the runner computes from the spec the

@@ -51,9 +51,12 @@ TIMING_ONLY = (
     "fig9", "fig10", "figw", "ext1", "ext2",
 )
 
-#: Extra modules an id must not load: table1 prints a static table.
+#: Extra modules an id must not load: table1 prints a static table,
+#: and fig9 prices the Fig. 9 kernels without the hybrid schedule or
+#: the analytical model.
 EXTRA = {
     "table1": ("repro.core.schedule.executor", "repro.core.autotune"),
+    "fig9": ("repro.core.schedule", "repro.core.model"),
 }
 
 
