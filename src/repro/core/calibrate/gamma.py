@@ -10,9 +10,8 @@ estimate is the median ratio over a size sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import median
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.cpu.device import CPUDevice
 from repro.errors import CalibrationError
@@ -68,7 +67,7 @@ def estimate_gamma(
         samples.append(
             (size, noise.apply(gpu_time / cpu_time, "gamma-sweep", size))
         )
-    estimate = float(np.median([ratio for _, ratio in samples]))
+    estimate = float(median(ratio for _, ratio in samples))
     return GammaEstimate(
         gamma_inverse_estimate=estimate, samples=tuple(samples)
     )

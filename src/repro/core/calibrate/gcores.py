@@ -11,13 +11,13 @@ flattens once it saturates; ``g`` is read off as the knee of the curve
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import median
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import CalibrationError
 from repro.opencl.device import GPUDevice
 from repro.opencl.kernel import AccessPattern, Kernel, NDRange
+from repro.util.grids import geomspace
 from repro.util.rng import NO_NOISE, NoiseModel
 
 
@@ -69,12 +69,9 @@ def estimate_g(
     if max_threads < 2:
         raise CalibrationError(f"max_threads must be >= 2, got {max_threads!r}")
 
-    grid = [
-        int(t)
-        for t in np.unique(
-            np.geomspace(1, max_threads, num=num_points).astype(int)
-        )
-    ]
+    # Truncated and deduplicated; tests/util/test_grids.py pins the grid
+    # against numpy's.
+    grid = sorted({int(t) for t in geomspace(1, max_threads, num_points)})
     samples: List[Tuple[int, float]] = []
     for threads in grid:
         chunk = max(1, array_size // threads)
@@ -87,7 +84,7 @@ def estimate_g(
     flat_times = [t for thr, t in samples if thr >= flat_threshold]
     if not flat_times:
         flat_times = [samples[-1][1]]
-    flat_level = float(np.median(flat_times))
+    flat_level = float(median(flat_times))
     for threads, time in samples:
         if time <= flat_level * (1.0 + flat_tolerance):
             return GEstimate(g_estimate=threads, samples=tuple(samples))

@@ -17,7 +17,8 @@ of Fig. 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.core.schedule.advanced import AdvancedPlan
@@ -41,24 +42,63 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class HybridRunResult:
-    """Outcome of one simulated execution."""
+    """Outcome of one simulated execution.
+
+    The busy and overlap diagnostics (:attr:`cpu_busy`, :attr:`gpu_busy`,
+    :attr:`cpu_fully_busy`, :attr:`overlap`) are derived from the stored
+    intervals on first read and cached: a tuner sweep runs thousands of
+    runs and reads none of them.  They are not fields: equality compares
+    only what the run recorded, from which they follow.
+    """
 
     makespan: float
     sequential_ops: float  # 1-core recursive baseline time
-    cpu_busy: float  # union of CPU worker busy intervals
-    gpu_busy: float  # union of GPU busy intervals (kernels + transfers)
     gpu_kernel_time: float  # kernels only
     transfer_time: float  # both directions
-    cpu_fully_busy: float  # time all p cores were busy at once
-    overlap: float  # time CPU and GPU were busy simultaneously
+    cores: int  # CPU cores the run drew on (cpu_fully_busy's threshold)
     cpu_side_time: float = 0.0  # advanced: duration of the CPU-side phase
     gpu_side_time: float = 0.0  # advanced: duration of the GPU device chain
-    #: Raw busy intervals, for timeline rendering / post-hoc analysis.
+    #: Raw busy intervals: the diagnostics' input, and for timeline
+    #: rendering / post-hoc analysis.
     cpu_intervals: tuple = ()
     gpu_intervals: tuple = ()
+    #: Multi-GPU runs: the sum of the per-card busy unions, reported as
+    #: :attr:`gpu_busy` instead of the union of all card intervals.
+    gpu_busy_override: Optional[float] = None
     #: Recovery actions (:class:`~repro.resilience.guard.RecoveryAction`)
     #: taken under a resilience config; empty for clean runs.
     recovery: tuple = ()
+
+    @cached_property
+    def _merged(self) -> tuple:
+        """(CPU union, GPU union): each trace merged once, shared by
+        the busy totals and the overlap."""
+        return (
+            merge_intervals(self.cpu_intervals),
+            merge_intervals(self.gpu_intervals),
+        )
+
+    @cached_property
+    def cpu_busy(self) -> float:
+        """Union of CPU worker busy intervals."""
+        return sum(e - s for s, e in self._merged[0])
+
+    @cached_property
+    def gpu_busy(self) -> float:
+        """Union of GPU busy intervals (kernels + transfers)."""
+        if self.gpu_busy_override is not None:
+            return self.gpu_busy_override
+        return sum(e - s for s, e in self._merged[1])
+
+    @cached_property
+    def cpu_fully_busy(self) -> float:
+        """Time all ``cores`` cores were busy at once."""
+        return time_at_concurrency(self.cpu_intervals, self.cores)
+
+    @cached_property
+    def overlap(self) -> float:
+        """Time CPU and GPU were busy simultaneously."""
+        return overlap_merged(*self._merged)
 
     def timeline(self, width: int = 72) -> str:
         """ASCII Gantt of this run (see :mod:`repro.sim.timeline`)."""
@@ -600,24 +640,14 @@ class ScheduleExecutor:
             noise_key=("multi-gpu", m, plan.cpu_tasks_at_split, t, y),
             side_spans=side_spans,
         )
-        # aggregate card traces into the result's gpu_busy
-        busy = sum(card.trace.busy_time() for card in cards)
-        return HybridRunResult(
-            makespan=result.makespan,
-            sequential_ops=result.sequential_ops,
-            cpu_busy=result.cpu_busy,
-            gpu_busy=busy,
-            gpu_kernel_time=result.gpu_kernel_time,
-            transfer_time=result.transfer_time,
-            cpu_fully_busy=result.cpu_fully_busy,
-            overlap=result.overlap,
-            cpu_side_time=result.cpu_side_time,
-            gpu_side_time=result.gpu_side_time,
-            cpu_intervals=result.cpu_intervals,
+        # gpu_busy sums the per-card unions: concurrent cards count once
+        # each, not once for the lot.
+        return replace(
+            result,
             gpu_intervals=tuple(
                 iv for card in cards for iv in card.trace.intervals
             ),
-            recovery=result.recovery,
+            gpu_busy_override=sum(card.trace.busy_time() for card in cards),
         )
 
 
@@ -1167,26 +1197,17 @@ class _Run:
                 self._session.note_recovery(
                     f"{self.x.hpu.name}:{self.w.name}", recovery
                 )
-        # Each trace's interval list is built (and merged) once and
-        # reused for the busy totals, the overlap, and the raw tuples.
-        cpu_intervals = self.cpu.trace.intervals
-        gpu_intervals = self.gpu.trace.intervals
-        cpu_merged = merge_intervals(cpu_intervals)
-        gpu_merged = merge_intervals(gpu_intervals)
         side_spans = side_spans or {}
         return HybridRunResult(
             makespan=makespan,
             sequential_ops=self.x.sequential_ops(),
-            cpu_busy=sum(e - s for s, e in cpu_merged),
-            gpu_busy=sum(e - s for s, e in gpu_merged),
             gpu_kernel_time=self.gpu_kernel_time,
             transfer_time=self.transfer_time,
-            cpu_fully_busy=time_at_concurrency(cpu_intervals, self.cores),
-            overlap=overlap_merged(cpu_merged, gpu_merged),
+            cores=self.cores,
             cpu_side_time=side_spans.get("cpu", 0.0),
             gpu_side_time=side_spans.get("gpu", 0.0),
-            cpu_intervals=tuple(cpu_intervals),
-            gpu_intervals=tuple(gpu_intervals),
+            cpu_intervals=tuple(self.cpu.trace.intervals),
+            gpu_intervals=tuple(self.gpu.trace.intervals),
             recovery=recovery,
         )
 

@@ -58,11 +58,6 @@ from repro.cpu.cache import contention_factor
 from repro.obs.tracer import active as _obs_active
 from repro.opencl.costmodel import kernel_launch_time
 from repro.opencl.kernel import NDRange
-from repro.sim.trace import (
-    merge_interval_arrays,
-    overlap_merged,
-    time_at_concurrency_arrays,
-)
 from repro.util.ambient import resilience_session
 from repro.util.intmath import ceil_div
 
@@ -381,19 +376,12 @@ class _MacroRun:
         makespan = x.noise.apply(final_now, self.w.name, *tuple(noise_key))
         if self.tracer is not None:
             self.flush(final_now, makespan)
-        cpu_merged = merge_interval_arrays(self.cpu_starts, self.cpu_ends)
-        gpu_merged = merge_interval_arrays(self.gpu_starts, self.gpu_ends)
         return HybridRunResult(
             makespan=makespan,
             sequential_ops=x.sequential_ops(),
-            cpu_busy=sum(e - s for s, e in cpu_merged),
-            gpu_busy=sum(e - s for s, e in gpu_merged),
             gpu_kernel_time=self.gpu_kernel_time,
             transfer_time=self.transfer_time,
-            cpu_fully_busy=time_at_concurrency_arrays(
-                self.cpu_starts, self.cpu_ends, self.cores
-            ),
-            overlap=overlap_merged(cpu_merged, gpu_merged),
+            cores=self.cores,
             cpu_side_time=cpu_side,
             gpu_side_time=gpu_side,
             cpu_intervals=tuple(zip(self.cpu_starts, self.cpu_ends)),

@@ -73,6 +73,14 @@ class CalibrationError(ReproError):
     """A device-parameter calibration procedure failed to converge."""
 
 
+class MissingExtraError(ReproError, ImportError):
+    """An optional dependency is not installed.
+
+    The message names the ``pip install`` extra that provides it; see
+    :func:`repro.util.host.require_numpy`.
+    """
+
+
 #: Deprecated aliases, resolved lazily so each use warns exactly where
 #: it happens (PEP 562).
 _DEPRECATED_ALIASES = {

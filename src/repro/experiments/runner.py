@@ -31,11 +31,11 @@ plan and every recovery action are recorded in the run manifest.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -135,12 +135,22 @@ class RunSpec:
 
 @dataclass
 class RunOutcome:
-    """What one :func:`run_request` produced."""
+    """What one :func:`run_request` produced.
+
+    Its cache identity (:attr:`request`, :attr:`cache_key`) is a pure
+    function of the spec, derived on first read and then cached: an
+    untraced CLI run reads neither, and deriving them imports the serve
+    protocol.  The outcome holds the spec itself, not a copy, so read
+    them before mutating it.
+    """
 
     run_id: str
     results: Dict[str, ExperimentResult]
-    cache_key: str
-    request: Dict[str, object]
+    #: What the cache identity derives from: the spec, the experiment
+    #: ids it selected, and whether the run was traced.
+    spec: RunSpec = field(repr=False)
+    selected: List[str]
+    traced: bool
     manifest: Optional[object] = None  # RunManifest when emitted
     manifest_path: Optional[Path] = None
     report_path: Optional[Path] = None
@@ -156,6 +166,21 @@ class RunOutcome:
     #: deliberately absent from :meth:`to_dict` — it is row data for
     #: the serve daemon's trace stitcher, not part of the JSON digest.
     trace_snapshot: Optional[dict] = None
+
+    @cached_property
+    def request(self) -> Dict[str, object]:
+        """The canonical request (see :func:`_canonical_for_spec`)."""
+        return _canonical_for_spec(self.spec, self.selected, self.traced)
+
+    @cached_property
+    def cache_key(self) -> str:
+        """The result-cache key; empty for a run under fault injection,
+        which is behaviourally unique and so uncacheable."""
+        if self.spec.resilience is not None:
+            return ""
+        from repro.serve.cache import cache_key
+
+        return cache_key(self.request)
 
     def to_dict(self) -> dict:
         """JSON-able digest (what the serve daemon ships around)."""
@@ -484,14 +509,6 @@ def run_request(
             "run.started", experiments=list(selected), fast=spec.fast
         )
 
-    # -- cache identity ------------------------------------------------
-    # Computed before running: a pure function of the spec.  Runs under
-    # fault injection are behaviourally unique, hence uncacheable.
-    from repro.serve.cache import cache_key as _cache_key
-
-    canonical = _canonical_for_spec(spec, selected, traced=tracing_on)
-    key = "" if spec.resilience is not None else _cache_key(canonical)
-
     session = None
     if spec.resilience is not None:
         from repro.resilience import install
@@ -562,8 +579,9 @@ def run_request(
     outcome = RunOutcome(
         run_id=run_id,
         results=results,
-        cache_key=key,
-        request=canonical,
+        spec=spec,
+        selected=selected,
+        traced=tracing_on,
         conformance=conformance,
         outputs=outputs,
         trace_spans=len(tracer.spans) if tracer is not None else 0,
@@ -577,7 +595,9 @@ def run_request(
         ),
     )
     if logger is not None:
-        logger.event("run.finished", run_id=run_id, cache_key=key)
+        logger.event(
+            "run.finished", run_id=run_id, cache_key=outcome.cache_key
+        )
     if emit_manifest:
         run_dir = Path(spec.results_dir) / run_id
         if spec.report:
@@ -587,7 +607,7 @@ def run_request(
             spec, selected, results, tracer, run_id, outputs,
             session=session,
             conformance=conformance, analysis=analysis,
-            cache_key=key, request=canonical,
+            cache_key=outcome.cache_key, request=outcome.request,
             workload=(
                 spec.workload
                 or (spec.sweep or {}).get("workload")
@@ -663,6 +683,10 @@ def _resilience_config(args, parser):
 
 
 def main(argv=None) -> int:
+    # Imported here, not at the top: a cold `import` of the runner (a
+    # serve worker, a library caller) parses no arguments.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the paper's tables and figures on the "

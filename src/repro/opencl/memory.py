@@ -41,8 +41,9 @@ class Buffer:
         region: MemoryRegion = MemoryRegion.GLOBAL,
         name: str = "",
     ) -> None:
-        import numpy as np
+        from repro.util.host import require_numpy
 
+        np = require_numpy()
         dtype = np.dtype(dtype)
         if nbytes <= 0:
             raise DeviceMemoryError(f"buffer size must be positive, got {nbytes!r}")

@@ -64,17 +64,6 @@ def time_at_concurrency(intervals: Iterable[Interval], k: int) -> float:
     return total
 
 
-def merge_interval_arrays(starts, ends) -> List[Interval]:
-    """:func:`merge_intervals` entered with parallel start/end columns
-    (what the macro fast path holds)."""
-    return merge_intervals(zip(starts, ends))
-
-
-def time_at_concurrency_arrays(starts, ends, k: int) -> float:
-    """:func:`time_at_concurrency` entered with start/end columns."""
-    return time_at_concurrency(zip(starts, ends), k)
-
-
 def overlap_length(a: Sequence[Interval], b: Sequence[Interval]) -> float:
     """Total length of the intersection of two interval unions."""
     return overlap_merged(merge_intervals(a), merge_intervals(b))

@@ -11,7 +11,12 @@ textbook ones — and return Python floats:
 - a float ``np.arange`` stores ``start`` and ``start + step``, then fills
   element ``i >= 2`` with ``start + i * ((start + step) - start)``;
 - ``np.linspace`` computes ``i * ((stop - start) / (num - 1)) + start``
-  and then sets its last point to ``stop`` exactly.
+  and then sets its last point to ``stop`` exactly;
+- ``np.geomspace`` raises 10 to a ``linspace`` of the endpoints' log10
+  and then sets both endpoints exactly.  numpy's vectorized power is not
+  libm's ``pow`` (SIMD builds differ from it in the last bits), so the
+  interior points agree to a few ulps, not bit for bit; the truncated
+  thread grid the g sweep builds from them is exact.
 
 ``tests/util/test_grids.py`` pins every helper against numpy.
 """
@@ -66,4 +71,19 @@ def linspace(start: float, stop: float, num: int) -> List[float]:
     else:
         values = [i * step + start for i in range(num)]
     values[-1] = stop
+    return values
+
+
+def geomspace(start: float, stop: float, num: int) -> List[float]:
+    """``np.geomspace(start, stop, num).tolist()`` for ``start, stop > 0``
+    (``ValueError`` otherwise), to a few ulps in the interior and exact
+    at both endpoints."""
+    start, stop = float(start), float(stop)
+    values = [
+        10.0**e for e in linspace(math.log10(start), math.log10(stop), num)
+    ]
+    if num > 0:
+        values[0] = start
+        if num > 1:
+            values[-1] = stop
     return values

@@ -51,7 +51,9 @@ def make_rng(seed: int | None = None, *salt: object) -> "np.random.Generator":
     that independent subsystems get decorrelated streams from the same
     root seed.
     """
-    import numpy as np
+    from repro.util.host import require_numpy
+
+    np = require_numpy()
 
     material = _entropy(seed, salt)
     return np.random.default_rng(np.random.SeedSequence(material))

@@ -128,6 +128,9 @@ class WorkloadEntry:
                 f"workload {self.workload_id!r} is timing-only: it "
                 f"registers no host builder"
             )
+        from repro.util.host import require_numpy
+
+        require_numpy()
         return self.build_host(self.validate_n(n), seed)
 
     def default_sizes(self, fast: bool = False) -> Tuple[int, ...]:

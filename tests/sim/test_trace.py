@@ -229,47 +229,22 @@ parity_intervals = st.lists(
 class TestParityWithNumpyBulkPaths:
     @given(parity_intervals)
     def test_merge(self, intervals):
-        from repro.sim.trace import merge_interval_arrays
-
         expected = numpy_merge(intervals)
-        for got in (
-            merge_intervals(intervals),
-            merge_interval_arrays(
-                [s for s, _ in intervals], [e for _, e in intervals]
-            ),
-        ):
-            assert [(float(s).hex(), float(e).hex()) for s, e in got] == [
-                (s.hex(), e.hex()) for s, e in expected
-            ]
+        got = merge_intervals(intervals)
+        assert [(float(s).hex(), float(e).hex()) for s, e in got] == [
+            (s.hex(), e.hex()) for s, e in expected
+        ]
 
     @given(parity_intervals, st.integers(min_value=1, max_value=6))
     def test_concurrency(self, intervals, k):
-        from repro.sim.trace import time_at_concurrency_arrays
-
         expected = numpy_concurrency(intervals, k)
         assert float(time_at_concurrency(intervals, k)).hex() == expected.hex()
-        starts = [s for s, _ in intervals]
-        ends = [e for _, e in intervals]
-        assert (
-            time_at_concurrency_arrays(starts, ends, k).hex() == expected.hex()
-        )
 
     @pytest.mark.parametrize("size", [1, 40])
     def test_reversed_interval_message(self, size):
-        from repro.sim.trace import (
-            merge_interval_arrays,
-            time_at_concurrency_arrays,
-        )
-
         intervals = [(0.0, 1.0)] * (size - 1) + [(2.5, 1.5)]
-        starts = [s for s, _ in intervals]
-        ends = [e for _, e in intervals]
         message = "interval end 1.5 precedes start 2.5"
         with pytest.raises(ValueError, match=message):
             merge_intervals(intervals)
         with pytest.raises(ValueError, match=message):
-            merge_interval_arrays(starts, ends)
-        with pytest.raises(ValueError, match=message):
             time_at_concurrency(intervals, 1)
-        with pytest.raises(ValueError, match=message):
-            time_at_concurrency_arrays(starts, ends, 2)

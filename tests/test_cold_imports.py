@@ -5,11 +5,12 @@ so the modules it loads are part of its cost.  ``scipy.optimize`` takes
 about 0.4 s to import and the serve daemon stack with asyncio about
 40 ms, and a figure run needs neither.  Sweeps run serially, so a
 figure run needs no process pool either, and an untraced run needs
-none of the trace exporters or the live telemetry.  The timing results
-are a closed-form model plus a schedule replay on the standard library
-alone, so the ten timing-only ids load no numpy (about 0.2 s) and,
-without a fault plan, no ``repro.resilience``.  Only host-backed runs
-and the calibration ids (table2, fig5, fig6) need numpy.  A stray
+none of the trace exporters, the live telemetry, or the serve protocol
+that derives its cache identity (only a manifest, a JSON log or a serve
+worker reads that).  The results are a closed-form model, a schedule
+replay and the calibration sweeps, all on the standard library alone,
+so no id loads numpy (about 0.13 s) and, without a fault plan, none
+loads ``repro.resilience``.  Only host-backed runs need numpy.  A stray
 top-level import would add that cost back silently, so this test fails
 instead.
 """
@@ -23,8 +24,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.runner import EXPERIMENTS
 
-SCRIPT = """\
+CLI_SCRIPT = """\
 import contextlib, io, json, sys
 from repro.experiments.runner import main
 with contextlib.redirect_stdout(io.StringIO()):
@@ -32,9 +34,27 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
+#: A host-backed run: real arrays behind a simulated schedule.
+HOST_SCRIPT = """\
+import json, sys
+from repro.core.schedule import ScheduleExecutor
+from repro.hpu import HPU1
+from repro.workloads import get
+run = get("mergesort").host_run(1 << 10, seed=1)
+ScheduleExecutor(HPU1, run.workload).run_cpu_only()
+run.verify()
+print(json.dumps({"rc": 0, "modules": sorted(sys.modules)}))
+"""
+
+IMPORT_SCRIPT = """\
+import json, sys
+import repro.experiments.runner
+print(json.dumps({"rc": 0, "modules": sorted(sys.modules)}))
+"""
+
 HEAVY = (
     "scipy",
-    "repro.serve.daemon",
+    "repro.serve",
     "asyncio",
     "multiprocessing",
     "concurrent.futures",
@@ -45,12 +65,6 @@ HEAVY = (
     "repro.resilience",
 )
 
-#: Every id whose output is timing only (no real arrays anywhere).
-TIMING_ONLY = (
-    "table1", "fig3", "fig4", "fig7", "fig8",
-    "fig9", "fig10", "figw", "ext1", "ext2",
-)
-
 #: Extra modules an id must not load: table1 prints a static table,
 #: and fig9 prices the Fig. 9 kernels without the hybrid schedule or
 #: the analytical model.
@@ -59,11 +73,23 @@ EXTRA = {
     "fig9": ("repro.core.schedule", "repro.core.model"),
 }
 
+#: Everything ``import repro.experiments.runner`` may load of the
+#: package: the experiment modules load on an id's first run.
+RUNNER_IMPORT = {
+    "repro",
+    "repro._version",
+    "repro.experiments",
+    "repro.experiments.result",
+    "repro.experiments.runner",
+    "repro.util",
+    "repro.util.tables",
+}
 
-def loaded_modules(tmp_path, exp_id):
+
+def loaded_modules(tmp_path, script, *args):
     src = str(Path(repro.__file__).resolve().parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, exp_id],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -76,13 +102,19 @@ def loaded_modules(tmp_path, exp_id):
     return set(report["modules"])
 
 
-@pytest.mark.parametrize("exp_id", TIMING_ONLY)
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
 def test_cli_run_leaves_heavy_modules_unimported(tmp_path, exp_id):
-    loaded = loaded_modules(tmp_path, exp_id)
+    loaded = loaded_modules(tmp_path, CLI_SCRIPT, exp_id)
     heavy = set(HEAVY) | set(EXTRA.get(exp_id, ()))
     assert not loaded & heavy, sorted(loaded & heavy)
 
 
-def test_calibration_ids_still_load_numpy(tmp_path):
+def test_host_backed_run_still_loads_numpy(tmp_path):
     """The guard above is not vacuous: real arrays still import numpy."""
-    assert "numpy" in loaded_modules(tmp_path, "fig5")
+    assert "numpy" in loaded_modules(tmp_path, HOST_SCRIPT)
+
+
+def test_runner_import_loads_only_its_own_modules(tmp_path):
+    loaded = loaded_modules(tmp_path, IMPORT_SCRIPT)
+    ours = {m for m in loaded if m == "repro" or m.startswith("repro.")}
+    assert ours == RUNNER_IMPORT

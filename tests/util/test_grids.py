@@ -2,15 +2,30 @@
 
 Every α grid that feeds a golden output used to be a numpy array, so
 each helper is checked against the numpy function it replaces over
-many seeded inputs, compared as ``float.hex``.
+many seeded inputs, compared as ``float.hex``.  The one exception is
+``geomspace``: numpy's vectorized power differs from libm's ``pow`` in
+the last bits, so its interior points are pinned to a relative 1e-13,
+and the integer thread grid the g sweep builds from it is pinned
+exactly.  The calibration medians are pinned the same way.
 """
 
+import math
 import random
+import statistics
 
 import numpy as np
 import pytest
 
-from repro.util.grids import arange, linspace, round_all, round_decimals
+from repro.core.calibrate import estimate_g, estimate_gamma
+from repro.experiments.common import MEASUREMENT_NOISE
+from repro.hpu import PLATFORMS
+from repro.util.grids import (
+    arange,
+    geomspace,
+    linspace,
+    round_all,
+    round_decimals,
+)
 
 
 def hexes(values):
@@ -127,3 +142,104 @@ class TestLinspace:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             linspace(0.0, 1.0, -1)
+
+
+def thread_grid(max_threads, num):
+    """The g sweep's grid, as ``estimate_g`` builds it."""
+    return sorted({int(t) for t in geomspace(1, max_threads, num)})
+
+
+def numpy_thread_grid(max_threads, num):
+    """The grid ``estimate_g`` used to build with numpy."""
+    return [
+        int(t)
+        for t in np.unique(np.geomspace(1, max_threads, num=num).astype(int))
+    ]
+
+
+class TestGeomspace:
+    #: max_threads = int(2.5 * g) for HPU1 and HPU2, over the num_points
+    #: of fig5 (fast/full), table2 (fast/full) and estimate_g's default.
+    @pytest.mark.parametrize(
+        "max_threads",
+        sorted({int(2.5 * hpu.gpu_spec.g) for hpu in PLATFORMS.values()}),
+    )
+    @pytest.mark.parametrize("num", [16, 24, 48, 64])
+    def test_thread_grids_in_use(self, max_threads, num):
+        assert hexes(thread_grid(max_threads, num)) == hexes(
+            numpy_thread_grid(max_threads, num)
+        )
+
+    def test_thread_grid_over_random_ranges(self):
+        rnd = random.Random(14)
+        for _ in range(3000):
+            max_threads = rnd.choice(
+                [
+                    rnd.randint(2, 64),
+                    rnd.randint(2, 20000),
+                    rnd.randint(2, 10**7),
+                ]
+            )
+            num = rnd.randint(2, 200)
+            assert thread_grid(max_threads, num) == numpy_thread_grid(
+                max_threads, num
+            )
+
+    def test_values_match_numpy(self):
+        rnd = random.Random(15)
+        for _ in range(2000):
+            start = rnd.choice([1.0, rnd.uniform(1e-3, 1e3)])
+            stop = rnd.uniform(1e-3, 1e7)
+            num = rnd.randint(0, 200)
+            ours = geomspace(start, stop, num)
+            theirs = np.geomspace(start, stop, num=num).tolist()
+            assert len(ours) == len(theirs)
+            if num:
+                # both endpoints are set exactly, as numpy sets them
+                assert ours[0].hex() == float(theirs[0]).hex()
+                assert ours[-1].hex() == float(theirs[-1]).hex()
+            for a, b in zip(ours, theirs):
+                assert math.isclose(a, b, rel_tol=1e-13)
+
+    def test_nonpositive_endpoint_rejected(self):
+        with pytest.raises(ValueError):
+            geomspace(0.0, 10.0, 5)
+        with pytest.raises(ValueError):
+            geomspace(1.0, -10.0, 5)
+
+
+class TestCalibrationMedian:
+    """``statistics.median`` is ``np.median`` on the samples it reduces."""
+
+    def test_random_lengths(self):
+        rnd = random.Random(16)
+        for _ in range(2000):
+            values = [
+                rnd.uniform(0.0, 1e6) for _ in range(rnd.randint(1, 80))
+            ]
+            assert statistics.median(values).hex() == float(
+                np.median(values)
+            ).hex()
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_gamma_and_gcores_samples(self, fast):
+        sizes = tuple(
+            1 << e for e in (range(18, 25, 3) if fast else range(16, 25))
+        )
+        for hpu in PLATFORMS.values():
+            cpu, gpu = hpu.make_devices()
+            gamma = estimate_gamma(
+                gpu, cpu, sizes=sizes, noise=MEASUREMENT_NOISE
+            )
+            ratios = [ratio for _, ratio in gamma.samples]
+            assert gamma.gamma_inverse_estimate.hex() == float(
+                np.median(ratios)
+            ).hex()
+            g = estimate_g(
+                gpu, num_points=16 if fast else 48, noise=MEASUREMENT_NOISE
+            )
+            times = [time for _, time in g.samples]
+            for tail in range(1, len(times) + 1):
+                assert statistics.median(times[-tail:]).hex() == float(
+                    np.median(times[-tail:])
+                ).hex()
