@@ -8,9 +8,12 @@
 - :class:`~repro.core.schedule.advanced.AdvancedSchedule` — §5.2: an
   ``α`` / ``1−α`` split below the top of the tree, the GPU climbing to
   transfer level ``y`` while the CPU stays saturated; two transfers.
-- :class:`~repro.core.schedule.executor.ScheduleExecutor` — runs either
-  plan on a simulated HPU through the DES engine, returning makespan,
-  per-device busy traces and the CPU/GPU overlap statistics of Fig. 8.
+- :mod:`~repro.core.schedule.program` — the step program every plan
+  compiles to.
+- :class:`~repro.core.schedule.executor.ScheduleExecutor` — runs a
+  plan's program on a simulated HPU (closed-form replay, or the DES
+  engine), returning makespan, per-device busy traces and the CPU/GPU
+  overlap statistics of Fig. 8.
 """
 
 from repro.core.schedule.advanced import AdvancedPlan, AdvancedSchedule

@@ -1,4 +1,4 @@
-"""Run a schedule plan on a simulated HPU through the DES engine.
+"""Run a schedule plan on a simulated HPU.
 
 The executor reproduces the *implementation* behaviour of Algorithm 8
 rather than the idealized analysis: the CPU side is a team of up to
@@ -17,10 +17,11 @@ of Fig. 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.core.schedule import program as _program
 from repro.core.schedule.advanced import AdvancedPlan
 from repro.core.schedule.basic import BasicPlan
 from repro.core.schedule.workload import LEAVES, DCWorkload, KernelStep, LevelRef
@@ -180,12 +181,12 @@ class _ObsMetrics:
         self._lk_cpu, self._lk_gpu = executor._obs_caches[:2]
         self._element_bytes = executor.workload.element_bytes
 
-    def gpu_label(self, level: LevelRef):
-        """The ``(device=gpu, level)`` label key."""
-        lk = self._lk_gpu.get(level)
+    def gpu_label(self, level: LevelRef, lane: str = "gpu"):
+        """The ``(device=lane, level)`` label key."""
+        lk = self._lk_gpu.get((lane, level))
         if lk is None:
-            lk = self._lk_gpu[level] = _metric_label_key(
-                device="gpu", level=level
+            lk = self._lk_gpu[lane, level] = _metric_label_key(
+                device=lane, level=level
             )
         return lk
 
@@ -215,6 +216,15 @@ class _ObsMetrics:
 class ScheduleExecutor:
     """Executes plans for one (HPU, workload) pair.
 
+    Each ``run_*`` method compiles its plan into one
+    :class:`~repro.core.schedule.program.Program` and hands it to one of
+    two interpreters: the closed-form replay of
+    :mod:`~repro.core.schedule.macro` when the run is eligible, the
+    discrete-event ``_Run`` driver otherwise — bit-identical either
+    way.  Only multi-card runs (their transfers queue on a shared
+    link), runs under a fault plan or resilience session, runs with an
+    execute hook and the executor switches below take the DES.
+
     ``fast=True`` (the default) resolves statically-chunked CPU worker
     teams in closed form — homogeneous batches become a single engine
     event, heterogeneous or contended ones a :class:`TeamBatch` — which
@@ -229,10 +239,9 @@ class ScheduleExecutor:
     via :func:`repro.resilience.install`, if any.  Each run gets a
     fresh injector, so a failed run never poisons the next.
 
-    ``macro`` controls the whole-run closed-form fast path (see
-    :mod:`repro.core.schedule.macro`): ``None`` (the default) takes it
-    whenever the run is eligible — bit-identical to the DES by
-    construction — and ``False`` forces every run through the DES.
+    ``macro=False`` forces every run through the DES (the oracle the
+    tests compare the replay against); ``None`` (the default) replays
+    whenever the run is eligible.
     """
 
     def __init__(
@@ -250,16 +259,14 @@ class ScheduleExecutor:
         self.fast = fast
         self.resilience = resilience
         self.macro = macro
-        #: Kernel-step duration cache shared by the DES and macro paths.
-        #: KernelStep is a frozen dataclass, so steps cache by value; a
-        #: tuner sweep replays identical step shapes across hundreds of
-        #: runs.  Keyed on the primary GPU's cost model — the explicit
-        #: multi-card path (gpu_level_on) prices per device and bypasses
-        #: this cache.
+        #: Kernel-step duration cache shared by the DES and macro paths
+        #: (see _kernel_level).  KernelStep is a frozen dataclass, so
+        #: steps cache by value; a tuner sweep replays identical step
+        #: shapes across hundreds of runs.
         self._kernel_cache: Dict[KernelStep, float] = {}
         #: Whole-level duration tuples for the macro path, keyed by
-        #: (level, count, offset), with the kernel steps' span data
-        #: once a traced run needed it; see _MacroRun.gpu_level.
+        #: (level, count, offset, parallel), with the kernel steps' span
+        #: data once a traced run needed it; see _MacroRun.gpu_level.
         self._gpu_level_cache: Dict[tuple, tuple] = {}
         #: Per-worker CPU team durations for the macro path, keyed by
         #: (level, count, cores); see _MacroRun.team_durations.
@@ -298,25 +305,14 @@ class ScheduleExecutor:
         paper cites from [13]).
         """
         result = _macro.try_macro_cpu_only(self, cores)
-        if result is not None:
-            return result
-        run = _Run(self, cores=cores)
+        if result is None:
+            result = self._des(
+                _program.cpu_only(self.hpu, self.workload, cores)
+            )
+        return result
 
-        def driver():
-            yield from run.cpu_batch(LEAVES, "base", 0, run.w.leaf_tasks, "leaves")
-            for level in range(run.w.k - 1, -1, -1):
-                yield from run.cpu_batch(
-                    level, "combine", 0, run.w.tasks_at(level), f"level:{level}"
-                )
-            return None
-
-        return run.finish(driver(), noise_key=("cpu-only", cores))
-
-    # ------------------------------------------------------------------
-    # basic strategy (§5.1)
-    # ------------------------------------------------------------------
     def run_basic(self, plan: BasicPlan) -> HybridRunResult:
-        """One device at a time, single transfer each way.
+        """§5.1: one device at a time, single transfer each way.
 
         Under a resilience config whose :class:`~repro.resilience.
         policies.DegradePolicy` allows it, a GPU phase that fails for
@@ -326,60 +322,13 @@ class ScheduleExecutor:
         completes correctly.
         """
         result = _macro.try_macro_basic(self, plan)
-        if result is not None:
-            return result
-        run = _Run(self)
-        w = self.workload
-
-        def gpu_phase():
-            """The GPU's compute steps, resumable for the fallback."""
-            total_words = w.words_for_tasks(LEAVES, w.leaf_tasks)
-            compute = [(LEAVES, "base", 0, w.leaf_tasks)] + [
-                (level, "combine", 0, w.tasks_at(level))
-                for level in plan.gpu_levels(w.k)
-            ]
-            done = 0
-            try:
-                yield from run.gpu_transfer(total_words, "h2d")
-                for index, (level, phase, offset, count) in enumerate(compute):
-                    yield from run.gpu_level(level, phase, offset, count)
-                    done = index + 1
-                yield from run.gpu_transfer(total_words, "d2h")
-            except DeviceError as exc:
-                if not run.can_degrade(exc):
-                    raise
-                run.note_fallback("basic.gpu-phase", exc)
-                for level, phase, offset, count in compute[done:]:
-                    tag = (
-                        "fallback:leaves"
-                        if level == LEAVES
-                        else f"fallback:{level}"
-                    )
-                    yield from run.cpu_batch(level, phase, offset, count, tag)
-
-        def driver():
-            if plan.use_gpu:
-                yield from gpu_phase()
-            else:
-                yield from run.cpu_batch(
-                    LEAVES, "base", 0, w.leaf_tasks, "leaves"
-                )
-            for level in plan.cpu_levels(w.k):
-                yield from run.cpu_batch(
-                    level, "combine", 0, w.tasks_at(level), f"level:{level}"
-                )
-            return None
-
-        result = run.finish(driver(), noise_key=("basic", plan.crossover))
-        if run.tracer is not None:
-            self._note_conformance(run.tracer, run._ri, result, basic_plan=plan)
+        if result is None:
+            result = self._des(_program.basic(self.workload, plan))
         return result
 
-    # ------------------------------------------------------------------
-    # advanced strategy (§5.2 / Algorithm 8)
-    # ------------------------------------------------------------------
     def run_advanced(self, plan: AdvancedPlan) -> HybridRunResult:
-        """Two concurrent sides below the split level, then the top.
+        """§5.2 / Algorithm 8: two concurrent sides below the split
+        level, then the top.
 
         Under a resilience config with CPU fallback enabled, a GPU side
         that fails permanently re-plans its remaining level sets onto
@@ -388,268 +337,68 @@ class ScheduleExecutor:
         correct result — the degraded mode of ``docs/RESILIENCE.md``.
         """
         result = _macro.try_macro_advanced(self, plan)
-        if result is not None:
-            return result
-        run = _Run(self)
-        w = self.workload
-        t, y = plan.split_level, plan.transfer_level
-        if not t <= y <= w.k:
-            raise ScheduleError(
-                f"transfer level {y} outside [{t}, {w.k}]"
-            )
-        cpu_leaves = plan.cpu_leaf_tasks(w)
-        gpu_leaves = w.leaf_tasks - cpu_leaves
-        side_spans = {"cpu": 0.0, "gpu": 0.0}
-
-        def cpu_side():
-            yield from run.cpu_batch(LEAVES, "base", 0, cpu_leaves, "cpu-side")
-            for level in range(w.k - 1, t - 1, -1):
-                count = plan.cpu_tasks_at(level, w)
-                yield from run.cpu_batch(
-                    level, "combine", 0, count, f"cpu-side:{level}"
-                )
-            side_spans["cpu"] = run.sim.now
-            return None
-
-        def gpu_side():
-            if gpu_leaves == 0:
-                return None
-            words = w.words_for_tasks(LEAVES, gpu_leaves)
-            compute = [(LEAVES, "base", cpu_leaves, gpu_leaves)] + [
-                (
-                    level,
-                    "combine",
-                    plan.cpu_tasks_at(level, w),
-                    plan.gpu_tasks_at(level, w),
-                )
-                for level in range(w.k - 1, y - 1, -1)
-            ]
-            done = 0
-            try:
-                yield from run.gpu_transfer(words, "h2d")
-                for index, (level, phase, offset, count) in enumerate(compute):
-                    yield from run.gpu_level(level, phase, offset, count)
-                    done = index + 1
-                yield from run.gpu_transfer(words, "d2h")
-            except DeviceError as exc:
-                if not run.can_degrade(exc):
-                    raise
-                run.note_fallback("advanced.gpu-side", exc)
-                for level, phase, offset, count in compute[done:]:
-                    tag = (
-                        "fallback:leaves"
-                        if level == LEAVES
-                        else f"fallback:{level}"
-                    )
-                    yield from run.cpu_batch(level, phase, offset, count, tag)
-            side_spans["gpu"] = run.sim.now
-            # CPU tail of the GPU side: levels y-1 .. t, competing for
-            # cores with a possibly still-running CPU side.
-            for level in range(y - 1, t - 1, -1):
-                offset = plan.cpu_tasks_at(level, w)
-                count = plan.gpu_tasks_at(level, w)
-                yield from run.cpu_batch(
-                    level, "combine", offset, count, f"gpu-tail:{level}"
-                )
-            return None
-
-        def driver():
-            sides = [run.sim.spawn(cpu_side()), run.sim.spawn(gpu_side())]
-            yield AllOf(sides)
-            for level in range(t - 1, -1, -1):
-                yield from run.cpu_batch(
-                    level, "combine", 0, w.tasks_at(level), f"top:{level}"
-                )
-            return None
-
-        result = run.finish(
-            driver(),
-            noise_key=("advanced", plan.cpu_tasks_at_split, t, y),
-            side_spans=side_spans,
-        )
-        if run.tracer is not None:
-            self._note_conformance(
-                run.tracer, run._ri, result, advanced_plan=plan
-            )
+        if result is None:
+            result = self._des(_program.advanced(self.workload, plan))
         return result
 
-    # ------------------------------------------------------------------
-    # §7 extension: advanced strategy with a parallel-kernel GPU tail
-    # ------------------------------------------------------------------
     def run_advanced_parallel_tail(self, plan) -> HybridRunResult:
-        """Advanced schedule where the GPU, instead of handing its
-        partition back at the transfer level, switches to intra-task
+        """§7: the advanced schedule where the GPU, instead of handing
+        its partition back at the transfer level, switches to intra-task
         parallel kernels and climbs to ``plan.stop_level`` itself.
 
         ``plan`` is a :class:`~repro.core.schedule.extensions.
-        ParallelTailPlan`.  Still exactly two transfers.
+        ParallelTailPlan`.  Still exactly two transfers, and the same
+        CPU fallback as :meth:`run_advanced`.
         """
-        run = _Run(self)
-        w = self.workload
-        base = plan.base
-        t = base.split_level
-        switch, stop = plan.switch_level, plan.stop_level
-        cpu_leaves = base.cpu_leaf_tasks(w)
-        gpu_leaves = w.leaf_tasks - cpu_leaves
-        side_spans = {"cpu": 0.0, "gpu": 0.0}
+        result = _macro.try_macro_advanced(self, plan)
+        if result is None:
+            result = self._des(_program.parallel_tail(self.workload, plan))
+        return result
 
-        def cpu_side():
-            yield from run.cpu_batch(LEAVES, "base", 0, cpu_leaves, "cpu-side")
-            for level in range(w.k - 1, t - 1, -1):
-                count = base.cpu_tasks_at(level, w)
-                yield from run.cpu_batch(
-                    level, "combine", 0, count, f"cpu-side:{level}"
-                )
-            side_spans["cpu"] = run.sim.now
-            return None
-
-        def gpu_side():
-            if gpu_leaves == 0:
-                return None
-            words = w.words_for_tasks(LEAVES, gpu_leaves)
-            yield from run.gpu_transfer(words, "h2d")
-            yield from run.gpu_level(LEAVES, "base", cpu_leaves, gpu_leaves)
-            for level in range(w.k - 1, stop - 1, -1):
-                offset = base.cpu_tasks_at(level, w)
-                count = base.gpu_tasks_at(level, w)
-                yield from run.gpu_level(
-                    level, "combine", offset, count, parallel=level < switch
-                )
-            yield from run.gpu_transfer(words, "d2h")
-            side_spans["gpu"] = run.sim.now
-            # tail on the CPU only for levels the GPU did not climb
-            for level in range(stop - 1, t - 1, -1):
-                offset = base.cpu_tasks_at(level, w)
-                count = base.gpu_tasks_at(level, w)
-                yield from run.cpu_batch(
-                    level, "combine", offset, count, f"gpu-tail:{level}"
-                )
-            return None
-
-        def driver():
-            sides = [run.sim.spawn(cpu_side()), run.sim.spawn(gpu_side())]
-            yield AllOf(sides)
-            for level in range(t - 1, -1, -1):
-                yield from run.cpu_batch(
-                    level, "combine", 0, w.tasks_at(level), f"top:{level}"
-                )
-            return None
-
-        return run.finish(
-            driver(),
-            noise_key=("parallel-tail", base.cpu_tasks_at_split, t, switch, stop),
-            side_spans=side_spans,
-        )
-
-
-    # ------------------------------------------------------------------
-    # §3.2 extension: advanced strategy across multiple GPU cards
-    # ------------------------------------------------------------------
     def run_advanced_multi(self, plan: AdvancedPlan) -> HybridRunResult:
-        """Advanced schedule with the GPU side striped across the cards
-        of a :class:`~repro.hpu.multi.MultiGPUHPU`.
+        """§3.2: the advanced schedule with the GPU side striped across
+        the cards of a :class:`~repro.hpu.multi.MultiGPUHPU`.
 
         Each card gets an equal contiguous slice of the GPU partition
         and runs its kernels concurrently with the others; *all*
         transfers serialize on the shared host link — the very overhead
         the paper's footnote 5 cites for not using the HD 5970's second
         die.  Plan semantics are unchanged (two transfers per card).
+        The link's FIFO queue is DES work, so these runs never replay.
         """
-        hpu = self.hpu
-        if not hasattr(hpu, "make_gpu_devices"):
-            raise ScheduleError(
-                f"{hpu.name!r} is not a multi-GPU platform; use "
-                f"run_advanced instead"
-            )
-        run = _Run(self)
-        cards = hpu.make_gpu_devices()
-        link = Resource(1, "host-link")
+        return self._des(_program.multi(self.hpu, self.workload, plan))
+
+    def _des(self, program: _program.Program) -> HybridRunResult:
+        """Run ``program`` through the discrete-event engine."""
+        return _Run(self, program).run()
+
+    def _kernel_level(
+        self, level: LevelRef, offset: int, count: int, parallel: bool
+    ) -> tuple:
+        """``(steps, durations)`` of one GPU level: its kernel steps and
+        their launch times on the platform's GPU.  Every card of a
+        multi-GPU HPU shares these cost parameters."""
         w = self.workload
-        t, y = plan.split_level, plan.transfer_level
-        if not t <= y <= w.k:
-            raise ScheduleError(f"transfer level {y} outside [{t}, {w.k}]")
-        cpu_leaves = plan.cpu_leaf_tasks(w)
-        gpu_leaves = w.leaf_tasks - cpu_leaves
-        side_spans = {"cpu": 0.0, "gpu": 0.0}
-        m = len(cards)
-
-        def slice_of(total: int, card: int) -> tuple:
-            """Contiguous (offset, count) of card's share of ``total``."""
-            base, extra = divmod(total, m)
-            start = card * base + min(card, extra)
-            return start, base + (1 if card < extra else 0)
-
-        def cpu_side():
-            yield from run.cpu_batch(LEAVES, "base", 0, cpu_leaves, "cpu-side")
-            for level in range(w.k - 1, t - 1, -1):
-                count = plan.cpu_tasks_at(level, w)
-                yield from run.cpu_batch(
-                    level, "combine", 0, count, f"cpu-side:{level}"
+        if parallel:
+            steps = w.gpu_parallel_steps(level, count, offset)
+        else:
+            steps = w.gpu_steps(level, count, offset)
+        cache = self._kernel_cache
+        durations = []
+        for step in steps:
+            duration = cache.get(step)
+            if duration is None:
+                spec = self.hpu.gpu_spec
+                duration = cache[step] = kernel_launch_time(
+                    spec.cost_parameters(),
+                    _step_kernel(step),
+                    NDRange(
+                        step.items, min(spec.preferred_workgroup, step.items)
+                    ),
+                    {},
                 )
-            side_spans["cpu"] = run.sim.now
-            return None
-
-        def card_side(card_index: int):
-            device = cards[card_index]
-            leaf_lo, leaf_cnt = slice_of(gpu_leaves, card_index)
-            if leaf_cnt == 0:
-                return None
-            words = w.words_for_tasks(LEAVES, leaf_cnt)
-            yield from run.linked_transfer(link, device, words, "h2d")
-            yield from run.gpu_level_on(
-                device, LEAVES, "base", cpu_leaves + leaf_lo, leaf_cnt
-            )
-            for level in range(w.k - 1, y - 1, -1):
-                total = plan.gpu_tasks_at(level, w)
-                lo, cnt = slice_of(total, card_index)
-                yield from run.gpu_level_on(
-                    device,
-                    level,
-                    "combine",
-                    plan.cpu_tasks_at(level, w) + lo,
-                    cnt,
-                )
-            yield from run.linked_transfer(link, device, words, "d2h")
-            return None
-
-        def gpu_side():
-            card_procs = [
-                run.sim.spawn(card_side(i), name=f"card{i}") for i in range(m)
-            ]
-            yield AllOf(card_procs)
-            side_spans["gpu"] = run.sim.now
-            for level in range(y - 1, t - 1, -1):
-                offset = plan.cpu_tasks_at(level, w)
-                count = plan.gpu_tasks_at(level, w)
-                yield from run.cpu_batch(
-                    level, "combine", offset, count, f"gpu-tail:{level}"
-                )
-            return None
-
-        def driver():
-            sides = [run.sim.spawn(cpu_side()), run.sim.spawn(gpu_side())]
-            yield AllOf(sides)
-            for level in range(t - 1, -1, -1):
-                yield from run.cpu_batch(
-                    level, "combine", 0, w.tasks_at(level), f"top:{level}"
-                )
-            return None
-
-        result = run.finish(
-            driver(),
-            noise_key=("multi-gpu", m, plan.cpu_tasks_at_split, t, y),
-            side_spans=side_spans,
-        )
-        # gpu_busy sums the per-card unions: concurrent cards count once
-        # each, not once for the lot.
-        return replace(
-            result,
-            gpu_intervals=tuple(
-                iv for card in cards for iv in card.trace.intervals
-            ),
-            gpu_busy_override=sum(card.trace.busy_time() for card in cards),
-        )
-
+            durations.append(duration)
+        return steps, durations
 
     # ------------------------------------------------------------------
     # traced-run metric handles (DES and macro replay)
@@ -681,15 +430,14 @@ class ScheduleExecutor:
         return ctx
 
     def _note_conformance(
-        self, tracer, run_index: int, result: HybridRunResult,
-        advanced_plan=None, basic_plan=None,
+        self, tracer, run_index: int, result: HybridRunResult, oracle: tuple
     ) -> None:
         """Record predicted-vs-simulated residuals for one traced run.
 
         Evaluates the analytical model at the run's *own* operating
-        point (the integerized ``(α, y)`` / crossover actually
-        executed), records the absolute and relative makespan residuals
-        as metrics, and attaches the oracle's numbers to the run's
+        point (``oracle``: a program's integerized ``("advanced", α,
+        y)`` or ``("basic", crossover, use_gpu)``), records the absolute
+        and relative makespan residuals as metrics, and attaches the oracle's numbers to the run's
         trace record.  Pure arithmetic on already-simulated values: no
         events, no randomness, so traced results stay bit-identical to
         untraced ones.  Degraded runs (CPU fallback after a GPU loss)
@@ -704,21 +452,10 @@ class ScheduleExecutor:
         from repro.core.model.oracle import advanced_report, basic_report
         from repro.errors import ModelError
 
+        kind, *point = oracle
+        report_at = advanced_report if kind == "advanced" else basic_report
         try:
-            if advanced_plan is not None:
-                report = advanced_report(
-                    ctx,
-                    advanced_plan.effective_alpha,
-                    advanced_plan.transfer_level,
-                    result.makespan,
-                )
-            else:
-                report = basic_report(
-                    ctx,
-                    basic_plan.crossover,
-                    basic_plan.use_gpu,
-                    result.makespan,
-                )
+            report = report_at(ctx, *point, result.makespan)
         except ModelError:
             return  # operating point outside the model's admissible region
         oracle = getattr(self, "_oracle_metrics", None)
@@ -771,23 +508,26 @@ class ScheduleExecutor:
 
 
 class _Run:
-    """Mutable per-run state: simulator, devices, accumulated stats."""
+    """The DES interpreter of one :class:`~repro.core.schedule.program.
+    Program`: simulator, devices, accumulated stats."""
 
-    def __init__(self, executor: ScheduleExecutor, cores: Optional[int] = None):
+    def __init__(
+        self, executor: ScheduleExecutor, program: _program.Program
+    ) -> None:
         self.x = executor
         self.w = executor.workload
+        self.program = program
         self.sim = Simulator()
         self.cpu, self.gpu = executor.hpu.make_devices()
         self.cpu.bind(self.sim)
+        # The devices the chains run on, one per chain.
+        self.cards = (
+            executor.hpu.make_gpu_devices() if program.striped else [self.gpu]
+        )
+        cores = program.cores
         self.cores = executor.hpu.cpu_spec.p if cores is None else cores
-        if not 1 <= self.cores <= executor.hpu.cpu_spec.p:
-            raise ScheduleError(
-                f"cores must be in [1, {executor.hpu.cpu_spec.p}], "
-                f"got {self.cores!r}"
-            )
         self.gpu_kernel_time = 0.0
         self.transfer_time = 0.0
-        self._gpu_params = executor.hpu.gpu_spec.cost_parameters()
         # -- resilience (no-op unless a config is attached/installed) --
         # The guard probes each operation *before* it executes; with an
         # empty fault plan and no deadlines it admits everything
@@ -824,7 +564,7 @@ class _Run:
             # onto the tracer's row buffer with the run index cached,
             # skipping a Python call per span.  CPU batch counters
             # accumulate per level in a plain dict and flush once in
-            # finish() (counters are commutative aggregates).
+            # run() (counters are commutative aggregates).
             self._span_rows = self.tracer.span_rows
             self._ri = self.tracer.current_run.index
             self._cpu_agg: Dict[object, list] = {}
@@ -832,7 +572,7 @@ class _Run:
             wait_key = obs.lk_wait
             # Synchronous acquires are all zero-wait observations of the
             # same point: count them in a cell and batch-flush in
-            # finish() — histograms are commutative, so the point state
+            # run() — histograms are commutative, so the point state
             # is identical to per-acquire observe calls.
             zero_waits = [0]
             self._zero_waits = zero_waits
@@ -863,19 +603,83 @@ class _Run:
                 self.guard.injector.resource_fault_hook(self.sim)
             )
 
-    # -- resilience ------------------------------------------------------
-    def can_degrade(self, error: BaseException) -> bool:
-        """Whether a failed GPU phase may fall back to the CPU."""
-        return self.guard is not None and self.guard.should_degrade(error)
+    # -- the program -----------------------------------------------------
+    def batches(self, batches):
+        """Run CPU batches one after another."""
+        for level, offset, count, prefix in batches:
+            tag = prefix if level == LEAVES else f"{prefix}:{level}"
+            yield from self.cpu_batch(level, offset, count, tag)
 
-    def note_fallback(self, label: str, error: BaseException) -> None:
-        """Record that the remaining GPU work re-plans onto the CPU."""
-        self.guard.note_fallback(label, error)
+    def cpu_side(self, spans: list):
+        yield from self.batches(self.program.cpu)
+        spans[0] = self.sim.now
+
+    def device_side(self, spans: list):
+        """The chains (one process per card when striped), then the
+        CPU tail over what they handed back."""
+        program = self.program
+        if program.striped:
+            link = Resource(1, "host-link")
+            yield AllOf([
+                self.sim.spawn(self.chain(chain, card, link), name=f"card{i}")
+                for i, (chain, card) in enumerate(
+                    zip(program.chains, self.cards)
+                )
+            ])
+        elif program.chains:
+            yield from self.chain(program.chains[0], self.gpu)
+        else:
+            return None  # no GPU share: no device side at all
+        spans[1] = self.sim.now
+        yield from self.batches(program.tail)
+
+    def chain(self, chain, device, link=None):
+        """One card's transfers and kernel levels.
+
+        With a fallback label and a resilience config that allows it, a
+        chain that fails for good (retries exhausted, device lost)
+        re-plans its remaining levels onto the shared core pool, and
+        the run completes correctly.
+        """
+        if chain is None:
+            return None
+        done = 0
+        try:
+            yield from self.gpu_transfer(chain.words, "h2d", device, link)
+            for index, (level, offset, count, parallel) in enumerate(
+                chain.levels
+            ):
+                yield from self.gpu_level(
+                    level, offset, count, parallel, device
+                )
+                done = index + 1
+            yield from self.gpu_transfer(chain.words, "d2h", device, link)
+        except DeviceError as exc:
+            label = self.program.fallback
+            guard = self.guard
+            if label is None or guard is None or not guard.should_degrade(exc):
+                raise
+            guard.note_fallback(label, exc)
+            for level, offset, count, _parallel in chain.levels[done:]:
+                yield from self.cpu_batch(
+                    level, offset, count, f"fallback:{level}"
+                )
+
+    def driver(self, spans: list):
+        """Both sides — concurrently when there is a CPU side — then
+        the top."""
+        if self.program.cpu:
+            sides = [
+                self.sim.spawn(self.cpu_side(spans)),
+                self.sim.spawn(self.device_side(spans)),
+            ]
+            yield AllOf(sides)
+        else:
+            yield from self.device_side(spans)
+        yield from self.batches(self.program.top)
 
     # -- CPU ------------------------------------------------------------
-    def cpu_batch(
-        self, level: LevelRef, phase: str, offset: int, count: int, tag: str
-    ):
+    def cpu_batch(self, level: LevelRef, offset: int, count: int, tag: str):
         """Run ``count`` tasks of a level on the shared core pool.
 
         Runs up to ``cores`` workers with statically-chunked task ranges
@@ -894,12 +698,11 @@ class _Run:
         process per worker; both paths produce bit-identical clocks and
         traces (see ``tests/core/schedule/test_fast_path_equivalence``).
         """
-        if count == 0:
-            return
         if self.guard is not None:
             yield from self.guard.attempt(
                 "cpu", "cpu", [0.0], label=tag, trace=self.cpu.trace
             )
+        phase = "base" if level == LEAVES else "combine"
         self.w.run_hook(phase, level, offset, count)
         cost = self.w.cost_at(level)
         workers = min(count, self.cores)
@@ -986,55 +789,36 @@ class _Run:
     def gpu_level(
         self,
         level: LevelRef,
-        phase: str,
         offset: int,
         count: int,
         parallel: bool = False,
+        device=None,
     ):
-        """Launch the kernel steps of one level on the GPU.
+        """Launch the kernel steps of one level on ``device`` (the
+        platform's GPU by default).
 
         ``parallel=True`` uses the workload's intra-task parallel
         kernels (§7 extension) instead of the per-subproblem ones.
         """
-        if count == 0:
-            return
-        steps = (
-            self.w.gpu_parallel_steps(level, count, offset)
-            if parallel
-            else self.w.gpu_steps(level, count, offset)
-        )
-        cache = self.x._kernel_cache
-        durations = []
-        for step in steps:
-            duration = cache.get(step)
-            if duration is None:
-                duration = cache[step] = kernel_launch_time(
-                    self._gpu_params,
-                    _step_kernel(step),
-                    NDRange(
-                        step.items,
-                        min(
-                            self.x.hpu.gpu_spec.preferred_workgroup,
-                            step.items,
-                        ),
-                    ),
-                    {},
-                )
-            durations.append(duration)
+        device = self.gpu if device is None else device
+        steps, durations = self.x._kernel_level(level, offset, count, parallel)
         # The guard admits (or fails) the whole level before the hook
         # touches host data, so failed attempts never corrupt state and
         # the successful attempt replays the steps exactly as planned.
+        # All cards share the "gpu" fault lane: a device fault downs
+        # the whole multi-GPU side at once.
         if self.guard is not None:
             yield from self.guard.attempt(
                 "kernel",
                 "gpu",
                 durations,
                 label=f"level:{level}",
-                trace=self.gpu.trace,
+                trace=device.trace,
             )
+        phase = "base" if level == LEAVES else "combine"
         self.w.run_hook(phase, level, offset, count)
         sim = self.sim
-        record = self.gpu.trace.record
+        record = device.trace.record
         if self.tracer is None:
             for step, duration in zip(steps, durations):
                 start = sim.now
@@ -1046,6 +830,7 @@ class _Run:
         # a span row per kernel and per-level counter aggregation
         # (counters are commutative, so one flush after the loop matches
         # per-step increments while skipping two dict updates a kernel).
+        lane = self._lane(device)
         attr_cache = self._attr_cache
         rows_append = self._span_rows.append
         ri = self._ri
@@ -1066,80 +851,22 @@ class _Run:
             record(start, end, ent[0])
             self.gpu_kernel_time += duration
             rows_append(
-                (ent[0], "gpu.kernel", start, end, "gpu", ri, ent[1])
+                (ent[0], "gpu.kernel", start, end, lane, ri, ent[1])
             )
             launches += 1
             gpu_ops += step.items * step.ops_per_item
         if launches:
-            lk = self._obs.gpu_label(level)
+            lk = self._obs.gpu_label(level, lane)
             self._obs.kernel_launches.inc_at(lk, launches)
             self._obs.gpu_ops.inc_at(lk, gpu_ops)
 
-    def gpu_transfer(self, words: int, tag: str):
-        """One CPU↔GPU transfer of ``words`` machine words."""
-        duration = self.x.hpu.transfer_time(words)
-        if self.guard is not None:
-            yield from self.guard.attempt(
-                "transfer", "gpu", [duration], label=tag, trace=self.gpu.trace
-            )
-        start = self.sim.now
-        yield Timeout(duration)
-        self.gpu.trace.record(start, self.sim.now, tag)
-        self.transfer_time += duration
-        if self.tracer is not None:
-            self._record_transfer(tag, start, words)
-
-    # -- multi-GPU variants (explicit device + shared link) -------------
-    def gpu_level_on(
-        self, device, level: LevelRef, phase: str, offset: int, count: int
-    ):
-        """Like :meth:`gpu_level`, but on a specific card."""
-        if count == 0:
-            return
-        params = device.spec.cost_parameters()
-        steps = self.w.gpu_steps(level, count, offset)
-        durations = [
-            kernel_launch_time(
-                params,
-                _step_kernel(step),
-                NDRange(
-                    step.items, min(device.spec.preferred_workgroup, step.items)
-                ),
-                {},
-            )
-            for step in steps
-        ]
-        if self.guard is not None:
-            # All cards share the "gpu" fault lane: a device fault downs
-            # the whole multi-GPU side at once.
-            yield from self.guard.attempt(
-                "kernel",
-                "gpu",
-                durations,
-                label=f"level:{level}",
-                trace=device.trace,
-            )
-        self.w.run_hook(phase, level, offset, count)
-        tracer = self.tracer
-        for step, duration in zip(steps, durations):
-            start = self.sim.now
-            yield Timeout(duration)
-            device.trace.record(start, self.sim.now, f"kernel:{step.name}")
-            self.gpu_kernel_time += duration
-            if tracer is not None:
-                lane = device.trace.name or "gpu"
-                tracer.span(
-                    f"kernel:{step.name}", "gpu.kernel", start, self.sim.now,
-                    device=lane, level=level, items=step.items,
-                )
-                self._obs.kernel_launches.inc(device=lane, level=level)
-                self._obs.gpu_ops.inc(
-                    step.items * step.ops_per_item, device=lane, level=level
-                )
-
-    def linked_transfer(self, link, device, words: int, tag: str):
-        """A transfer that serializes on the shared host link."""
-        yield link.request(1)
+    def gpu_transfer(self, words: int, tag: str, device=None, link=None):
+        """One CPU↔GPU transfer of ``words`` machine words to or from
+        ``device`` (the platform's GPU by default), queueing on the
+        shared host ``link`` when there is one."""
+        device = self.gpu if device is None else device
+        if link is not None:
+            yield link.request(1)
         duration = self.x.hpu.transfer_time(words)
         if self.guard is not None:
             yield from self.guard.attempt(
@@ -1149,29 +876,28 @@ class _Run:
         yield Timeout(duration)
         device.trace.record(start, self.sim.now, tag)
         self.transfer_time += duration
-        link.release(1)
+        if link is not None:
+            link.release(1)
         if self.tracer is not None:
-            self._record_transfer(
-                tag, start, words, lane=device.trace.name or "gpu"
+            lane = self._lane(device)
+            self.tracer.span(
+                tag, "gpu.xfer", start, self.sim.now, device=lane, words=words
             )
+            self._obs.count_transfer(lane, tag, words)
 
-    def _record_transfer(
-        self, tag: str, start: float, words: int, lane: str = "gpu"
-    ) -> None:
-        """Span + byte/count metrics for one finished transfer."""
-        tracer = self.tracer
-        tracer.span(
-            tag, "gpu.xfer", start, self.sim.now, device=lane, words=words
-        )
-        self._obs.count_transfer(lane, tag, words)
+    def _lane(self, device) -> str:
+        """The trace lane of ``device``: ``gpu`` for the platform's GPU,
+        the card's name for a card of a multi-GPU HPU."""
+        return "gpu" if device is self.gpu else device.trace.name or "gpu"
 
     # -- wrap-up ----------------------------------------------------------
-    def finish(
-        self, driver, noise_key: Iterable, side_spans=None
-    ) -> HybridRunResult:
-        self.sim.run_process(driver, name="schedule-driver")
+    def run(self) -> HybridRunResult:
+        """Run the program to completion; the run's result."""
+        program = self.program
+        spans = [0.0, 0.0]  # when the CPU side and the device chains ended
+        self.sim.run_process(self.driver(spans), name="schedule-driver")
         makespan = self.x.noise.apply(
-            self.sim.now, self.w.name, *tuple(noise_key)
+            self.sim.now, self.w.name, *program.noise_key
         )
         if self.tracer is not None:
             obs = self._obs
@@ -1197,19 +923,35 @@ class _Run:
                 self._session.note_recovery(
                     f"{self.x.hpu.name}:{self.w.name}", recovery
                 )
-        side_spans = side_spans or {}
-        return HybridRunResult(
+        if not program.cpu:
+            spans = (0.0, 0.0)  # one device at a time: no sides
+        cards = self.cards
+        result = HybridRunResult(
             makespan=makespan,
             sequential_ops=self.x.sequential_ops(),
             gpu_kernel_time=self.gpu_kernel_time,
             transfer_time=self.transfer_time,
             cores=self.cores,
-            cpu_side_time=side_spans.get("cpu", 0.0),
-            gpu_side_time=side_spans.get("gpu", 0.0),
+            cpu_side_time=spans[0],
+            gpu_side_time=spans[1],
             cpu_intervals=tuple(self.cpu.trace.intervals),
-            gpu_intervals=tuple(self.gpu.trace.intervals),
+            gpu_intervals=tuple(
+                iv for card in cards for iv in card.trace.intervals
+            ),
+            # gpu_busy sums the per-card unions: concurrent cards count
+            # once each, not once for the lot.
+            gpu_busy_override=(
+                sum(card.trace.busy_time() for card in cards)
+                if program.striped
+                else None
+            ),
             recovery=recovery,
         )
+        if self.tracer is not None and program.oracle is not None:
+            self.x._note_conformance(
+                self.tracer, self._ri, result, program.oracle
+            )
+        return result
 
 
 # Imported last: macro.py needs HybridRunResult/_step_kernel from this

@@ -2,12 +2,17 @@
 
 The paper's point is that the hybrid schedule's behaviour is
 predictable from closed forms; the DES should only pay event-by-event
-cost when something the closed forms cannot express is in play.  For a
-run with no fault plan and no functional execute hook, every schedule
-the executor runs is a straight-line chain of closed-form batch
-durations — so this module replays the whole run with plain float
-arithmetic and emits the same
-:class:`~repro.core.schedule.executor.HybridRunResult`.
+cost when something the closed forms cannot express is in play.  Every
+run compiles to one :class:`~repro.core.schedule.program.Program`, and
+two interpreters run programs: the DES driver of
+:mod:`~repro.core.schedule.executor` and :func:`replay` here.  For a
+run with no fault plan and no functional execute hook, a program on
+one GPU is a straight-line chain of closed-form batch durations — so
+:func:`replay` runs the whole program with plain float arithmetic and
+emits the same :class:`~repro.core.schedule.executor.HybridRunResult`.
+That covers the CPU-only, basic, advanced and parallel-tail
+strategies; multi-card programs stay on the DES, because their
+transfers queue FIFO on the shared host link.
 
 Bit-identity is the contract, not an aspiration: the replay performs
 the *same float additions in the same order* as the DES —
@@ -35,16 +40,16 @@ run record, ``cpu.worker``/``cpu.batch``/``gpu.kernel``/``gpu.xfer``
 span rows in DES event order, and the per-level, transfer, core-wait
 and run metrics (``sim.events``/``sim.processes`` excepted: they count
 DES work, and a replayed run does none).  Everything is held back
-until the replay can no longer bail, and a traced advanced run whose
-two sides complete something at the exact same timestamp — where the
-DES order would depend on event sequence numbers — bails to the DES.
+until the replay can no longer bail, and a traced run whose two sides
+complete something at the exact same timestamp — where the DES order
+would depend on event sequence numbers — bails to the DES.
 
 Anything guarded, hooked, or slow-path always takes the DES, and
 ``ScheduleExecutor(macro=False)`` forces it per executor (the DES
 oracle the tests compare against).
 The differential suite (``tests/core/schedule/test_macro_path.py``)
 pins DES-vs-macro bit-identity, traced and untraced, across the fig8
-operating grid.
+operating grid and the parallel-tail plans.
 """
 
 from __future__ import annotations
@@ -53,13 +58,14 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Optional
 
+from repro.core.schedule import program as _program
+from repro.core.schedule.extensions import ParallelTailPlan
 from repro.core.schedule.workload import LEAVES
 from repro.cpu.cache import contention_factor
 from repro.obs.tracer import active as _obs_active
-from repro.opencl.costmodel import kernel_launch_time
-from repro.opencl.kernel import NDRange
 from repro.util.ambient import resilience_session
 from repro.util.intmath import ceil_div
+
 
 def macro_enabled(executor) -> bool:
     """Whether ``executor``'s next run may skip the DES entirely.
@@ -88,16 +94,14 @@ class _TracedLevel(tuple):
 class _MacroRun:
     """Closed-form mirror of the executor's per-run state.
 
-    A CPU batch travels as ``(durations, level, count, tag prefix)``;
-    the span tag is the prefix for the leaves and ``prefix:level``
-    otherwise, exactly as the DES drivers name their batches.
+    A CPU batch travels as ``(durations, level, count, tag prefix)``:
+    the program's batch with its per-worker durations in place of its
+    offset.
     """
 
     __slots__ = (
         "x", "w", "cores", "ws", "llc", "kappa", "spawn",
-        "gpu_params", "preferred_wg",
-        "cpu_starts", "cpu_ends", "gpu_starts", "gpu_ends",
-        "gpu_kernel_time", "transfer_time",
+        "cpu_iv", "gpu_iv", "gpu_kernel_time", "transfer_time",
         "tracer", "ri", "lane", "rows", "dev_rows", "agg", "gpu_incs",
         "xfers", "zero_waits", "waits",
     )
@@ -111,16 +115,11 @@ class _MacroRun:
         self.llc = cpu_spec.llc_bytes
         self.kappa = cpu_spec.cache_kappa
         self.spawn = cpu_spec.thread_spawn_overhead
-        self.gpu_params = executor.hpu.gpu_spec.cost_parameters()
-        self.preferred_wg = executor.hpu.gpu_spec.preferred_workgroup
-        # Raw busy intervals in DES record order, as parallel flat
-        # start/end lists (finish() merges them column-wise; the
-        # result only ever exposes (start, end) pairs, so tags are not
-        # kept).
-        self.cpu_starts = []
-        self.cpu_ends = []
-        self.gpu_starts = []
-        self.gpu_ends = []
+        # Raw busy intervals in DES record order, as (start, end) pairs
+        # like BusyTrace.intervals (the result exposes no tags).  The
+        # workers of one completion group share one pair.
+        self.cpu_iv = []
+        self.gpu_iv = []
         self.gpu_kernel_time = 0.0
         self.transfer_time = 0.0
         self.tracer = tracer = _obs_active()
@@ -144,7 +143,7 @@ class _MacroRun:
 
     # -- CPU -----------------------------------------------------------
     def team_durations(self, level, count: int):
-        """Per-worker durations of one team batch (empty for count 0).
+        """Per-worker durations of one team batch of ``count > 0`` tasks.
 
         The same arithmetic as ``_Run.cpu_batch``: ``min(count, cores)``
         workers with statically ceil-divided chunks, spawn overhead when
@@ -156,8 +155,6 @@ class _MacroRun:
         otherwise fixed per (HPU, workload), and a tuner sweep replays
         the same level batches across hundreds of runs.
         """
-        if count == 0:
-            return ()
         cache = self.x._team_cache
         key = (level, count, self.cores)
         durations = cache.get(key)
@@ -192,14 +189,10 @@ class _MacroRun:
         order, and each group records one interval per worker.
         """
         durations = batch[0]
-        starts = self.cpu_starts
-        ends = self.cpu_ends
         if durations[0] == durations[-1]:
             # Homogeneous static chunks: one completion group.
             end = now + durations[0]
-            for _ in durations:
-                starts.append(now)
-                ends.append(end)
+            self.cpu_iv += [(now, end)] * len(durations)
             if self.tracer is not None:
                 self.trace_team(batch, now, ((end, len(durations)),))
             return end
@@ -212,19 +205,24 @@ class _MacroRun:
             groups[end] = groups.get(end, 0) + 1
         ordered = sorted(groups.items())
         for end, workers in ordered:
-            for _ in range(workers):
-                starts.append(now)
-                ends.append(end)
+            self.cpu_iv += [(now, end)] * workers
         if self.tracer is not None:
             self.trace_team(batch, now, ordered)
         return ordered[-1][0]
 
-    def cpu_batch(self, now: float, level, count: int, prefix: str) -> float:
-        """One uncontended worker-team batch at ``now``; returns its end."""
-        durations = self.team_durations(level, count)
-        if not durations:
-            return now
-        return self.record_team(now, (durations, level, count, prefix))
+    def teams(self, batches) -> list:
+        """A program's CPU batches, each with its worker durations."""
+        return [
+            (self.team_durations(level, count), level, count, prefix)
+            for level, _offset, count, prefix in batches
+        ]
+
+    def cpu_batches(self, now: float, batches) -> float:
+        """Uncontended batches one after another from ``now``; returns
+        the last one's end."""
+        for batch in self.teams(batches):
+            now = self.record_team(now, batch)
+        return now
 
     # -- CPU tracing (traced runs only) ----------------------------------
     def trace_batch_start(self, batch) -> str:
@@ -275,10 +273,9 @@ class _MacroRun:
         self.trace_batch_end(batch, tag, now, groups[-1][0])
 
     # -- GPU -----------------------------------------------------------
-    def gpu_level(self, now: float, level, count: int, offset: int) -> float:
+    def gpu_level(self, now: float, level, offset: int, count: int,
+                  parallel: bool) -> float:
         """The kernel chain of one level; returns its end time."""
-        if count == 0:
-            return now
         # gpu_steps is a pure function of its arguments, so whole levels
         # cache on the executor as duration tuples, skipping step
         # construction and kernel pricing on the sweeps that replay
@@ -286,26 +283,12 @@ class _MacroRun:
         # its entry to a _TracedLevel carrying the steps' span data.
         traced = self.tracer is not None
         level_cache = self.x._gpu_level_cache
-        key = (level, count, offset)
+        key = (level, count, offset, parallel)
         durations = level_cache.get(key)
         if durations is None or (traced and type(durations) is tuple):
-            from repro.core.schedule.executor import _step_kernel
-
-            preferred = self.preferred_wg
-            params = self.gpu_params
-            kernel_cache = self.x._kernel_cache
-            priced = []
-            steps = self.w.gpu_steps(level, count, offset)
-            for step in steps:
-                duration = kernel_cache.get(step)
-                if duration is None:
-                    duration = kernel_cache[step] = kernel_launch_time(
-                        params,
-                        _step_kernel(step),
-                        NDRange(step.items, min(preferred, step.items)),
-                        {},
-                    )
-                priced.append(duration)
+            steps, priced = self.x._kernel_level(
+                level, offset, count, parallel
+            )
             if traced:
                 durations = _TracedLevel(priced)
                 durations.steps = tuple(
@@ -315,14 +298,12 @@ class _MacroRun:
             else:
                 durations = tuple(priced)
             level_cache[key] = durations
-        starts = self.gpu_starts
-        ends = self.gpu_ends
+        intervals = self.gpu_iv
         kernel_time = self.gpu_kernel_time
         if not traced:
             for duration in durations:
                 end = now + duration
-                starts.append(now)
-                ends.append(end)
+                intervals.append((now, end))
                 kernel_time += duration
                 now = end
             self.gpu_kernel_time = kernel_time
@@ -335,15 +316,14 @@ class _MacroRun:
             durations, durations.steps
         ):
             end = now + duration
-            starts.append(now)
-            ends.append(end)
+            intervals.append((now, end))
             kernel_time += duration
-            ck = (name, level, items, False)
+            ck = (name, level, items, parallel)
             ent = cache.get(ck)
             if ent is None:
                 ent = cache[ck] = (
                     f"kernel:{name}",
-                    {"level": level, "items": items, "parallel": False},
+                    {"level": level, "items": items, "parallel": parallel},
                 )
             rows.append((ent[0], "gpu.kernel", now, end, "gpu", ri, ent[1]))
             ops += step_ops
@@ -357,8 +337,7 @@ class _MacroRun:
         """One host↔device transfer; returns its end time."""
         duration = self.x.hpu.transfer_time(words)
         end = now + duration
-        self.gpu_starts.append(now)
-        self.gpu_ends.append(end)
+        self.gpu_iv.append((now, end))
         self.transfer_time += duration
         if self.tracer is not None:
             self.dev_rows.append(
@@ -367,16 +346,23 @@ class _MacroRun:
             self.xfers.append((tag, words))
         return end
 
+    def chain(self, now: float, chain) -> float:
+        """One device chain from ``now``; returns its end time."""
+        now = self.gpu_transfer(now, chain.words, "h2d")
+        for level, offset, count, parallel in chain.levels:
+            now = self.gpu_level(now, level, offset, count, parallel)
+        return self.gpu_transfer(now, chain.words, "d2h")
+
     # -- wrap-up ---------------------------------------------------------
-    def finish(self, final_now: float, noise_key,
-               cpu_side: float = 0.0, gpu_side: float = 0.0):
+    def finish(self, final_now: float, program, cpu_side: float,
+               gpu_side: float):
         from repro.core.schedule.executor import HybridRunResult
 
         x = self.x
-        makespan = x.noise.apply(final_now, self.w.name, *tuple(noise_key))
+        makespan = x.noise.apply(final_now, self.w.name, *program.noise_key)
         if self.tracer is not None:
             self.flush(final_now, makespan)
-        return HybridRunResult(
+        result = HybridRunResult(
             makespan=makespan,
             sequential_ops=x.sequential_ops(),
             gpu_kernel_time=self.gpu_kernel_time,
@@ -384,10 +370,13 @@ class _MacroRun:
             cores=self.cores,
             cpu_side_time=cpu_side,
             gpu_side_time=gpu_side,
-            cpu_intervals=tuple(zip(self.cpu_starts, self.cpu_ends)),
-            gpu_intervals=tuple(zip(self.gpu_starts, self.gpu_ends)),
+            cpu_intervals=tuple(self.cpu_iv),
+            gpu_intervals=tuple(self.gpu_iv),
             recovery=(),
         )
+        if self.tracer is not None and program.oracle is not None:
+            x._note_conformance(self.tracer, self.ri, result, program.oracle)
+        return result
 
     def flush(self, final_now: float, makespan: float) -> None:
         """Record the replayed run on the tracer as ``_Run`` would."""
@@ -460,7 +449,7 @@ def _replay_tail_contention(run, cpu_batches, tail_batches,
     ``cpu_batches`` starts at 0, ``tail_batches`` at ``tail_start``;
     each is a list of ``(durations, level, count, prefix)`` batches.
     Returns ``(cpu_done, tail_done)`` fire times and appends the busy
-    intervals to ``run``'s CPU columns in DES trace order (and, traced,
+    intervals to ``run``'s CPU intervals in DES trace order (and, traced,
     the rows, counter aggregates and core waits) — or ``None`` to bail
     to the DES.
 
@@ -478,8 +467,7 @@ def _replay_tail_contention(run, cpu_batches, tail_batches,
     A batch START pops exactly where the DES calls ``cpu_batch``, so the
     traced per-level aggregates see the same call order.
     """
-    rec_starts = run.cpu_starts
-    rec_ends = run.cpu_ends
+    intervals = run.cpu_iv
     capacity = run.cores
     traced = run.tracer is not None
     heap = []
@@ -544,8 +532,7 @@ def _replay_tail_contention(run, cpu_batches, tail_batches,
         else:  # completion-group FINISH at time == payload
             starts = batch[2].pop(payload)
             for start in starts:
-                rec_starts.append(start)
-                rec_ends.append(payload)
+                intervals.append((start, payload))
             if traced:
                 run.trace_group(batch[5], tuple(starts), payload)
             in_use -= len(starts)
@@ -567,52 +554,11 @@ def _replay_tail_contention(run, cpu_batches, tail_batches,
 
 
 # ----------------------------------------------------------------------
-# per-strategy planners: return a result, or None to run the DES
+# the replay, and its per-strategy entries
 # ----------------------------------------------------------------------
-def try_macro_cpu_only(executor, cores: Optional[int] = None):
-    """Closed form of ``run_cpu_only``: one sequential batch chain."""
-    if not macro_enabled(executor):
-        return None
-    p = executor.hpu.cpu_spec.p
-    resolved = p if cores is None else cores
-    if not 1 <= resolved <= p:
-        return None  # the DES path raises the ScheduleError
-    run = _MacroRun(executor, cores=resolved)
-    w = executor.workload
-    now = run.cpu_batch(0.0, LEAVES, w.leaf_tasks, "leaves")
-    for level in range(w.k - 1, -1, -1):
-        now = run.cpu_batch(now, level, w.tasks_at(level), "level")
-    return run.finish(now, ("cpu-only", cores))
-
-
-def try_macro_basic(executor, plan):
-    """Closed form of ``run_basic``: one device at a time, no overlap."""
-    if not macro_enabled(executor):
-        return None
-    run = _MacroRun(executor)
-    w = executor.workload
-    now = 0.0
-    if plan.use_gpu:
-        total_words = w.words_for_tasks(LEAVES, w.leaf_tasks)
-        now = run.gpu_transfer(now, total_words, "h2d")
-        now = run.gpu_level(now, LEAVES, w.leaf_tasks, 0)
-        for level in plan.gpu_levels(w.k):
-            now = run.gpu_level(now, level, w.tasks_at(level), 0)
-        now = run.gpu_transfer(now, total_words, "d2h")
-    else:
-        now = run.cpu_batch(now, LEAVES, w.leaf_tasks, "leaves")
-    for level in plan.cpu_levels(w.k):
-        now = run.cpu_batch(now, level, w.tasks_at(level), "level")
-    result = run.finish(now, ("basic", plan.crossover))
-    if run.tracer is not None:
-        executor._note_conformance(
-            run.tracer, run.ri, result, basic_plan=plan
-        )
-    return result
-
-
-def try_macro_advanced(executor, plan):
-    """Closed form of ``run_advanced``.
+def replay(executor, program):
+    """Run ``program`` in closed form; its result, or ``None`` to run
+    the DES.
 
     Both sides' batch durations are start-time independent, so the CPU
     side and the GPU tail reduce to precomputed duration lists.  When
@@ -622,57 +568,28 @@ def try_macro_advanced(executor, plan):
     either way).  A tail that starts earlier contends for the core
     pool, which :func:`_replay_tail_contention` replays — bailing to
     the DES only when its start ties another pool event's timestamp.
+    Striped (multi-card) programs always bail: their transfers queue
+    FIFO on the shared host link.
     """
-    if not macro_enabled(executor):
+    if program.striped:
         return None
-    w = executor.workload
-    t, y = plan.split_level, plan.transfer_level
-    if not 0 <= t <= y <= w.k:
-        return None  # the DES path raises the ScheduleError
-    cpu_leaves = plan.cpu_leaf_tasks(w)
-    gpu_leaves = w.leaf_tasks - cpu_leaves
-    run = _MacroRun(executor)
+    run = _MacroRun(executor, program.cores)
     traced = run.tracer is not None
-    if traced:
-        run.dev_rows = []
-    # Split counts, inlined from plan.cpu_tasks_at/gpu_tasks_at: the
-    # loops below stay inside the accessors' checked level range.
-    level_tasks = w.level_tasks
-    cpu_split = plan.cpu_tasks_at_split
-    total_split = cpu_split + plan.gpu_tasks_at_split
-
-    # CPU side: leaves then levels k-1 .. t, sequential on the pool.
-    cpu_batches = []
-    durations = run.team_durations(LEAVES, cpu_leaves)
-    if durations:
-        cpu_batches.append((durations, LEAVES, cpu_leaves, "cpu-side"))
-    for level in range(w.k - 1, t - 1, -1):
-        count = cpu_split * (level_tasks[level] // total_split)
-        durations = run.team_durations(level, count)
-        if durations:
-            cpu_batches.append((durations, level, count, "cpu-side"))
-
-    gpu_span = 0.0
-    cpu_end = 0.0
-    tail_done = 0.0
-    if gpu_leaves:
-        # GPU side: h2d, kernel chain, d2h, then the CPU tail.
-        words = w.words_for_tasks(LEAVES, gpu_leaves)
-        dev = run.gpu_transfer(0.0, words, "h2d")
-        dev = run.gpu_level(dev, LEAVES, gpu_leaves, cpu_leaves)
-        for level in range(w.k - 1, y - 1, -1):
-            tasks = level_tasks[level]
-            cpu_count = cpu_split * (tasks // total_split)
-            dev = run.gpu_level(dev, level, tasks - cpu_count, cpu_count)
-        dev = run.gpu_transfer(dev, words, "d2h")
-        gpu_span = dev
-        tail_batches = []
-        for level in range(y - 1, t - 1, -1):
-            tasks = level_tasks[level]
-            count = tasks - cpu_split * (tasks // total_split)
-            durations = run.team_durations(level, count)
-            if durations:
-                tail_batches.append((durations, level, count, "gpu-tail"))
+    cpu_end = gpu_span = 0.0
+    if not program.cpu:
+        # One device at a time: the chain, then its tail.
+        now = 0.0
+        for chain in program.chains:
+            now = run.chain(now, chain)
+        now = run.cpu_batches(now, program.tail)
+    elif not program.chains:
+        now = cpu_end = run.cpu_batches(0.0, program.cpu)
+    else:
+        if traced:
+            run.dev_rows = []
+        cpu_batches = run.teams(program.cpu)
+        gpu_span = dev = run.chain(0.0, program.chains[0])
+        tail_batches = run.teams(program.tail)
         # Uncontended critical path of the CPU side: each batch fires
         # at start + durations[0] (its longest worker).
         dry_end = 0.0
@@ -696,22 +613,35 @@ def try_macro_advanced(executor, plan):
             if rows is None:
                 return None  # the sides record at one timestamp
             run.rows = run.dev_rows = rows
-    else:
-        for batch in cpu_batches:
-            cpu_end = run.record_team(cpu_end, batch)
+        now = cpu_end if cpu_end >= tail_done else tail_done
+    now = run.cpu_batches(now, program.top)
+    return run.finish(now, program, cpu_end, gpu_span)
 
-    # Top: full-width levels t-1 .. 0 after both sides complete.
-    now = cpu_end if cpu_end >= tail_done else tail_done
-    for level in range(t - 1, -1, -1):
-        now = run.cpu_batch(now, level, level_tasks[level], "top")
-    result = run.finish(
-        now,
-        ("advanced", plan.cpu_tasks_at_split, t, y),
-        cpu_side=cpu_end,
-        gpu_side=gpu_span,
+
+def try_macro_cpu_only(executor, cores: Optional[int] = None):
+    """The replay of ``run_cpu_only``, or ``None`` to run the DES."""
+    if not macro_enabled(executor):
+        return None
+    return replay(
+        executor, _program.cpu_only(executor.hpu, executor.workload, cores)
     )
-    if traced:
-        executor._note_conformance(
-            run.tracer, run.ri, result, advanced_plan=plan
-        )
-    return result
+
+
+def try_macro_basic(executor, plan):
+    """The replay of ``run_basic``, or ``None`` to run the DES."""
+    if not macro_enabled(executor):
+        return None
+    return replay(executor, _program.basic(executor.workload, plan))
+
+
+def try_macro_advanced(executor, plan):
+    """The replay of ``run_advanced`` — or, for a
+    :class:`~repro.core.schedule.extensions.ParallelTailPlan`, of
+    ``run_advanced_parallel_tail`` — or ``None`` to run the DES."""
+    if not macro_enabled(executor):
+        return None
+    if isinstance(plan, ParallelTailPlan):
+        compile_plan = _program.parallel_tail
+    else:
+        compile_plan = _program.advanced
+    return replay(executor, compile_plan(executor.workload, plan))

@@ -137,3 +137,56 @@ class TestLeafBlocks:
             MergesortHost(np.arange(16), leaf_block=16)
         with pytest.raises(SpecError):
             MergesortHost(np.arange(16), leaf_block=3)
+
+
+#: Parallel-tail runs on HPU1 at the model's plan, under keyed noise
+#: (see tests/core/schedule/run_pins.py), pinned from the per-strategy
+#: DES drivers the executor had before every strategy compiled to one
+#: step program.  The replay and the DES must both reproduce them.
+PINNED_TAIL = {
+    ("mergesort", 1 << 16): {
+        "makespan": "0x1.205f22ee3a510p+19",
+        "cpu_side_time": "0x1.86e0000000000p+15",
+        "gpu_side_time": "0x1.a8321af286bc8p+18",
+        "gpu_kernel_time": "0x1.1c8a1af286bcap+18",
+        "transfer_time": "0x1.1750000000000p+17",
+        "cpu_intervals": "63:ea6281fc19cec886",
+        "gpu_intervals": "20:34d8d209fb3bf314",
+        "recovery": (), "events": 59.0, "processes": 3.0,
+    },
+    ("mergesort", 1 << 20): {
+        "makespan": "0x1.0399ee71d356ap+22",
+        "cpu_side_time": "0x1.8be8000000000p+19",
+        "gpu_side_time": "0x1.d55bf39aad8a7p+20",
+        "gpu_kernel_time": "0x1.0e39a1af286bep+20",
+        "transfer_time": "0x1.8e44a3d70a3d7p+19",
+        "cpu_intervals": "78:bdc8e93d23a805fb",
+        "gpu_intervals": "32:023d969653ba0962",
+        "recovery": (), "events": 77.0, "processes": 3.0,
+    },
+    ("matmul", 256): {
+        "makespan": "0x1.56d47d34629edp+22",
+        "cpu_side_time": "0x1.673b800000000p+20",
+        "gpu_side_time": "0x1.55d694e25b9f1p+22",
+        "gpu_kernel_time": "0x1.4cd8e1af286bdp+22",
+        "transfer_time": "0x1.1fb6666666666p+17",
+        "cpu_intervals": "28:496ac83c8ef30f82",
+        "gpu_intervals": "8:cc2cca10e714f463",
+        "recovery": (), "events": 27.0, "processes": 3.0,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm,size", sorted(PINNED_TAIL), ids=lambda v: str(v)
+)
+def test_parallel_tail_runs_match_their_pins(algorithm, size):
+    from repro.workloads import get
+
+    from tests.core.schedule.run_pins import pinned_run
+
+    w = get(algorithm).workload(size)
+    base = AdvancedSchedule().plan(w, HPU1.parameters)
+    plan = plan_parallel_tail(base, w, HPU1.parameters)
+    pins = pinned_run(HPU1, w, "run_advanced_parallel_tail", plan)
+    assert pins == PINNED_TAIL[algorithm, size]

@@ -6,13 +6,13 @@ contract is *bit-identity*: on every eligible plan the emitted
 :class:`HybridRunResult` — makespan, busy totals, raw interval lists,
 everything — must equal the DES's output exactly, including on plans
 whose GPU tail contends for the core pool (the two-stream replay).
-These tests pin that contract across a fig8-style operating grid,
-verify every escape hatch back to the DES (``macro=False``, the
-reference path, a resilience config or session), pin that a traced
-macro run records the DES's trace and metrics byte for byte, and check
-the
-analytic-model conformance oracle accepts macro-path runs within the
-committed fig8 band.
+These tests pin that contract across a fig8-style operating grid and
+parallel-tail plans, verify every escape hatch back to the DES
+(``macro=False``, the reference path, a resilience config or session,
+a multi-card program), pin that a traced macro run records the DES's
+trace and metrics byte for byte, and check the analytic-model
+conformance oracle accepts macro-path runs within the committed fig8
+band.
 """
 
 import json
@@ -31,6 +31,7 @@ from repro.core.schedule import (
     ScheduleExecutor,
 )
 from repro.core.schedule import macro as macro_module
+from repro.core.schedule.extensions import plan_parallel_tail
 from repro.hpu import HPU1, HPU2
 from repro.obs.export import chrome_trace, metrics_json
 from repro.obs.tracer import Tracer, tracing
@@ -178,12 +179,23 @@ def _plan_runs(hpu, workload, points, macro, warm=False):
             runs.append(lambda p=arg: executor.run_advanced(p))
         elif kind == "basic":
             runs.append(lambda p=arg: executor.run_basic(p))
+        elif kind == "tail":
+            runs.append(lambda p=arg: executor.run_advanced_parallel_tail(p))
         else:
             runs.append(lambda c=arg: executor.run_cpu_only(c))
     if warm:
         for run in runs:
             run()
     return runs
+
+
+def _tail_plan(hpu, workload, alpha, climb):
+    """A parallel-tail plan whose GPU hands back ``climb`` levels above
+    the split level (capped at its switch level), leaving a CPU tail."""
+    base = AdvancedSchedule().plan(workload, hpu.parameters, alpha=alpha)
+    plan = plan_parallel_tail(base, workload, hpu.parameters)
+    stop = min(base.split_level + climb, plan.switch_level)
+    return plan_parallel_tail(base, workload, hpu.parameters, stop_level=stop)
 
 
 def _assert_traced_identity(hpu, workload, points, warm=False):
@@ -302,6 +314,90 @@ class TestTracedBitIdentity:
         assert mac[1] == des[1]
         assert mac[2] == des[2]
         assert mac[3] == des[3]
+
+    @pytest.mark.parametrize("platform", sorted(PLATFORMS))
+    @pytest.mark.parametrize("n", [1 << 14, 1 << 18])
+    @pytest.mark.parametrize("alpha", [None, 0.2, 0.5])
+    @pytest.mark.parametrize("climb", [0, 6])
+    def test_parallel_tail(self, platform, n, alpha, climb):
+        """Tail plans replay, traced: the GPU climbs to the split level
+        (climb 0) or hands back up to six levels above it, leaving a
+        CPU tail."""
+        hpu = PLATFORMS[platform]
+        workload = make_mergesort_workload(n)
+        points = [("tail", _tail_plan(hpu, workload, alpha, climb))]
+        mac = _traced(_plan_runs(hpu, workload, points, macro=None))
+        assert not mac[4], "the tail run took the DES"
+        _assert_traced_identity(hpu, workload, points)
+
+    def test_contended_parallel_tail(self, monkeypatch):
+        replays = []
+        original = macro_module._replay_tail_contention
+
+        def counting(*args, **kwargs):
+            out = original(*args, **kwargs)
+            replays.append(out is not None)
+            return out
+
+        monkeypatch.setattr(
+            macro_module, "_replay_tail_contention", counting
+        )
+        workload = make_mergesort_workload(1 << 18)
+        plan = _tail_plan(HPU2, workload, 0.5, 6)
+        _assert_traced_identity(HPU2, workload, [("tail", plan)])
+        assert replays == [True]
+        untraced = ScheduleExecutor(HPU2, workload)
+        des = ScheduleExecutor(HPU2, workload, macro=False)
+        assert untraced.run_advanced_parallel_tail(plan) == (
+            des.run_advanced_parallel_tail(plan)
+        )
+
+    def test_tail_sequence_on_one_tracer(self):
+        """Advanced and tail runs interleaved on one executor share its
+        level caches, which key on the kernels' ``parallel`` flag."""
+        workload = make_mergesort_workload(1 << 16)
+        schedule = AdvancedSchedule()
+        points = []
+        for alpha in (0.1, 0.3):
+            base = schedule.plan(workload, HPU1.parameters, alpha=alpha)
+            points.append(("advanced", base))
+            points.append(("tail", _tail_plan(HPU1, workload, alpha, 0)))
+            points.append(("tail", _tail_plan(HPU1, workload, alpha, 3)))
+        _assert_traced_identity(HPU1, workload, points)
+        _assert_traced_identity(HPU1, workload, points, warm=True)
+
+
+def test_traced_dual_card_run_equals_untraced():
+    """Multi-card runs stay on the DES, traced or not, and tracing one
+    changes nothing in its result."""
+    from repro.hpu.multi import dual_card
+
+    duo = dual_card(HPU1)
+    workload = make_mergesort_workload(1 << 16)
+    plan = AdvancedSchedule().plan(workload, duo.parameters, alpha=0.2)
+    untraced = ScheduleExecutor(duo, workload).run_advanced_multi(plan)
+    tracer = Tracer()
+    with tracing(tracer):
+        traced = ScheduleExecutor(duo, workload).run_advanced_multi(plan)
+    assert traced == untraced
+    assert traced.gpu_busy_override == untraced.gpu_busy_override
+    assert tracer.metrics.counter("sim.events").total() > 0
+    lanes = {row[4] for row in tracer.span_rows if row[1] == "gpu.kernel"}
+    assert lanes == {card.trace.name for card in duo.make_gpu_devices()}
+
+
+def test_multi_card_program_bails_to_the_des():
+    """The replay refuses a striped program: the cards' transfers queue
+    FIFO on the shared host link, which only the DES orders."""
+    from repro.core.schedule import program
+    from repro.hpu.multi import dual_card
+
+    duo = dual_card(HPU1)
+    executor = ScheduleExecutor(duo, make_mergesort_workload(1 << 14))
+    plan = AdvancedSchedule().plan(executor.workload, duo.parameters)
+    striped = program.multi(duo, executor.workload, plan)
+    assert striped.striped and len(striped.chains) == 2
+    assert macro_module.replay(executor, striped) is None
 
 
 class TestEligibilityGates:

@@ -133,6 +133,51 @@ class TestCpuFallback:
         assert np.all(np.diff(host.array) >= 0)
 
 
+class TestOneFallbackPath:
+    """Every strategy's device chain falls back through the same code:
+    the parallel-tail run degrades like ``run_advanced``, while the
+    multi-card run, whose cards share one fault lane, still raises."""
+
+    def test_parallel_tail_completes_sorted_after_gpu_loss(self):
+        from repro.core.schedule import plan_parallel_tail
+
+        host, w = sorting_run()
+        base = AdvancedSchedule().plan(w, HPU1.parameters)
+        result = ScheduleExecutor(
+            HPU1, w, resilience=GPU_DIES
+        ).run_advanced_parallel_tail(
+            plan_parallel_tail(base, w, HPU1.parameters)
+        )
+        assert np.all(np.diff(host.array) >= 0)
+        _, w_adv = sorting_run()
+        reference = advanced(
+            ScheduleExecutor(HPU1, w_adv, resilience=GPU_DIES), w_adv
+        )
+
+        def shape(recovery):
+            return [
+                (a.kind, a.site, a.label.split(".")[-1], a.attempt, a.error)
+                for a in recovery
+            ]
+
+        assert shape(result.recovery) == shape(reference.recovery)
+        assert result.recovery[-1].kind == "cpu-fallback"
+        assert result.recovery[-1].label == "parallel-tail.gpu-side"
+        assert result.makespan > 0
+
+    def test_dual_card_still_raises_after_gpu_loss(self):
+        from repro.errors import DeviceError
+        from repro.hpu.multi import dual_card
+
+        host, w = sorting_run()
+        duo = dual_card(HPU1)
+        plan = AdvancedSchedule().plan(w, duo.parameters)
+        with pytest.raises(DeviceError):
+            ScheduleExecutor(duo, w, resilience=GPU_DIES).run_advanced_multi(
+                plan
+            )
+
+
 class TestRetries:
     def test_backoff_charged_as_simulated_time(self):
         base = baseline_makespan()
