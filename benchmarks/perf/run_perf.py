@@ -25,8 +25,11 @@ repo root so successive PRs can track the perf trajectory:
 - ``fig8_fast_traced_s`` / ``trace_overhead_pct``: the same pipeline
   with the :mod:`repro.obs` tracer active.  Traced runs replay on the
   macro path like untraced ones, so this gap is the recording itself:
-  span rows, per-run metrics and the model-conformance oracle each
-  traced run evaluates (the export is not timed here);
+  each run's compact rows, per-run metrics and the model-conformance
+  oracle each traced run evaluates;
+- ``fig8_fast_trace_export_s``: streaming that traced pipeline's
+  Chrome trace to a file (:func:`repro.obs.export.write_chrome_trace`,
+  ~97k events), best-of-3 over one tracer;
 - ``fig8_fast_telemetry_s`` / ``telemetry_overhead_pct``: the untraced
   pipeline with a live :class:`repro.obs.live.TelemetrySampler`
   polling at 20 Hz — what leaving the service flight recorder on
@@ -173,6 +176,29 @@ def bench_fig8_fast_traced(best_of: int = 3) -> float:
     return min(_fig8_once(traced=True) for _ in range(best_of))
 
 
+def bench_fig8_trace_export(best_of: int = 3) -> float:
+    """Wall-clock of writing the traced fig8 --fast pipeline's Chrome
+    trace: one traced run, then the best of ``best_of`` exports of its
+    tracer."""
+    import tempfile
+
+    from repro.experiments import common, fig8_speedup_vs_n
+    from repro.obs import Tracer, tracing, write_chrome_trace
+
+    common._TUNERS.clear()
+    tracer = Tracer()
+    with tracing(tracer):
+        fig8_speedup_vs_n.run(fast=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.json"
+        times = []
+        for _ in range(best_of):
+            start = time.perf_counter()
+            write_chrome_trace(path, tracer)
+            times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def bench_fig8_fast_telemetry(best_of: int = 3) -> float:
     """The untraced fig8 --fast pipeline with a TelemetrySampler live.
 
@@ -219,6 +245,7 @@ def append_history(path: Path, report: dict) -> None:
         "engine_events_per_s": bench.get("engine_events_per_s"),
         "fig8_fast_s": bench.get("fig8_fast_s"),
         "trace_overhead_pct": bench.get("trace_overhead_pct"),
+        "fig8_fast_trace_export_s": bench.get("fig8_fast_trace_export_s"),
         "telemetry_overhead_pct": bench.get("telemetry_overhead_pct"),
         "cpu_count": bench.get("cpu_count"),
     }
@@ -365,6 +392,7 @@ def main(argv=None) -> int:
     results["trace_overhead_pct"] = round(
         (fig8_traced_s - fig8_s) / fig8_s * 100.0, 1
     )
+    results["fig8_fast_trace_export_s"] = round(bench_fig8_trace_export(), 3)
     fig8_telemetry_s = bench_fig8_fast_telemetry()
     results["fig8_fast_telemetry_s"] = round(fig8_telemetry_s, 3)
     telemetry_overhead_pct = round(

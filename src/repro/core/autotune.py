@@ -21,7 +21,7 @@ from repro.core.schedule.executor import HybridRunResult, ScheduleExecutor
 from repro.core.schedule.workload import DCWorkload
 from repro.errors import ScheduleError
 from repro.hpu.hpu import HPU
-from repro.obs.tracer import active as _obs_active
+from repro.util.ambient import active_tracer
 from repro.util.grids import arange, round_all, round_decimals
 from repro.util.rng import NO_NOISE, NoiseModel
 
@@ -112,7 +112,7 @@ class AutoTuner:
         except ScheduleError as err:
             self._cache[key] = err
             raise
-        tracer = _obs_active()
+        tracer = active_tracer()
         if tracer is not None:
             # Tag the run the executor is about to open, so fig7/fig10
             # sweep traces carry their operating point per segment.
@@ -127,7 +127,7 @@ class AutoTuner:
     def evaluate_cpu_fallback(self) -> HybridRunResult:
         """The multicore-only execution (memoized like the grid points)."""
         if self._cpu_fallback is None:
-            tracer = _obs_active()
+            tracer = active_tracer()
             if tracer is not None:
                 tracer.annotate_next_run(autotune="cpu-fallback")
             self._cpu_fallback = self.executor.run_cpu_only()

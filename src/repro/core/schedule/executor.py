@@ -21,19 +21,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro import sim as _sim
 from repro.core.schedule import program as _program
 from repro.core.schedule.advanced import AdvancedPlan
 from repro.core.schedule.basic import BasicPlan
 from repro.core.schedule.workload import LEAVES, DCWorkload, KernelStep, LevelRef
 from repro.errors import DeviceError, ScheduleError
 from repro.hpu.hpu import HPU
-from repro.obs.metrics import label_key as _metric_label_key
-from repro.obs.tracer import active as _obs_active
 from repro.opencl.costmodel import kernel_launch_time
 from repro.opencl.kernel import Kernel, NDRange
-from repro.sim import AllOf, Resource, Simulator, TeamBatch, Timeout
 from repro.sim.trace import merge_intervals, overlap_merged, time_at_concurrency
-from repro.util.ambient import resilience_session
+from repro.util.ambient import active_tracer, resilience_session
 from repro.util.intmath import ceil_div
 from repro.util.rng import NO_NOISE, NoiseModel
 
@@ -138,6 +136,14 @@ def _step_kernel(step: KernelStep) -> Kernel:
     )
 
 
+def _metric_label_key(**labels):
+    """:func:`repro.obs.metrics.label_key`, imported on first use: only
+    traced runs build label keys."""
+    from repro.obs.metrics import label_key
+
+    return label_key(**labels)
+
+
 class _ObsMetrics:
     """The metric handles a traced run records into.
 
@@ -150,7 +156,7 @@ class _ObsMetrics:
         "metrics", "cpu_ops", "cpu_batches", "llc", "kernel_launches",
         "gpu_ops", "events", "processes", "runs", "makespan", "core_wait",
         "lk_sim", "lk_none", "lk_run", "lk_wait", "_lk_cpu", "_lk_gpu",
-        "_element_bytes",
+        "_element_bytes", "_xfer",
     )
 
     def __init__(self, executor: "ScheduleExecutor", metrics) -> None:
@@ -180,6 +186,7 @@ class _ObsMetrics:
         # registry), so the inc fast path is one dict update a counter.
         self._lk_cpu, self._lk_gpu = executor._obs_caches[:2]
         self._element_bytes = executor.workload.element_bytes
+        self._xfer = None  # (bytes counter, count counter, label keys)
 
     def gpu_label(self, level: LevelRef, lane: str = "gpu"):
         """The ``(device=lane, level)`` label key."""
@@ -192,11 +199,19 @@ class _ObsMetrics:
 
     def count_transfer(self, lane: str, tag: str, words: int) -> None:
         """Byte and count metrics of one finished transfer."""
-        metrics = self.metrics
-        metrics.counter("xfer.bytes").inc(
-            words * self._element_bytes, device=lane, dir=tag
-        )
-        metrics.counter("xfer.count").inc(device=lane, dir=tag)
+        xfer = self._xfer
+        if xfer is None:  # the families register on the first transfer
+            metrics = self.metrics
+            xfer = self._xfer = (
+                metrics.counter("xfer.bytes"), metrics.counter("xfer.count"),
+                {},
+            )
+        nbytes, count, keys = xfer
+        lk = keys.get((lane, tag))
+        if lk is None:
+            lk = keys[lane, tag] = _metric_label_key(device=lane, dir=tag)
+        nbytes.inc_at(lk, words * self._element_bytes)
+        count.inc_at(lk)
 
     def flush_cpu(self, agg: dict) -> None:
         """Fold a run's per-level CPU batch aggregates (level ->
@@ -264,16 +279,15 @@ class ScheduleExecutor:
         #: steps cache by value; a tuner sweep replays identical step
         #: shapes across hundreds of runs.
         self._kernel_cache: Dict[KernelStep, float] = {}
-        #: Whole-level duration tuples for the macro path, keyed by
-        #: (level, count, offset, parallel), with the kernel steps' span
-        #: data once a traced run needed it; see _MacroRun.gpu_level.
-        self._gpu_level_cache: Dict[tuple, tuple] = {}
-        #: Per-worker CPU team durations for the macro path, keyed by
-        #: (level, count, cores); see _MacroRun.team_durations.
-        self._team_cache: Dict[tuple, tuple] = {}
+        #: The macro path's priced templates (see macro.py): GPU levels
+        #: keyed by (level, count, offset, parallel), transfers by
+        #: (tag, words), CPU teams by (level, count, cores, prefix).
+        self._gpu_level_cache: Dict[tuple, object] = {}
+        self._xfer_cache: Dict[tuple, object] = {}
+        self._team_cache: Dict[tuple, object] = {}
         self._sequential_ops: Optional[float] = None
-        #: Traced-run caches shared by the DES and the macro replay:
-        #: per-level CPU and GPU label keys, and span attribute dicts
+        #: Traced-run caches: per-level CPU and GPU label keys (the DES
+        #: and the macro replay), and the DES's span attribute dicts
         #: shared across spans with identical attributes (consumers
         #: treat span attrs as immutable, so sharing is safe).
         self._obs_caches: tuple = ({}, {}, {})
@@ -517,7 +531,7 @@ class _Run:
         self.x = executor
         self.w = executor.workload
         self.program = program
-        self.sim = Simulator()
+        self.sim = _sim.Simulator()
         self.cpu, self.gpu = executor.hpu.make_devices()
         self.cpu.bind(self.sim)
         # The devices the chains run on, one per chain.
@@ -542,7 +556,7 @@ class _Run:
         # All hooks are pure observers keyed on simulated time; they
         # never schedule events or draw randomness, so tracing on/off
         # produces bit-identical results (tests/obs/test_equivalence.py).
-        self.tracer = _obs_active()
+        self.tracer = active_tracer()
         if self.tracer is not None:
             self.tracer.begin_run(
                 f"{executor.hpu.name}:{self.w.name}",
@@ -577,14 +591,14 @@ class _Run:
             zero_waits = [0]
             self._zero_waits = zero_waits
 
-            def _on_request(n, grant, _sim=sim, _hist=wait_hist,
+            def _on_request(n, grant, _clock=sim, _hist=wait_hist,
                             _key=wait_key, _zero=zero_waits):
                 if grant is None:  # synchronous acquire: zero wait
                     _zero[0] += 1
                     return
-                t0 = _sim.now
+                t0 = _clock.now
                 grant.on_fire(
-                    lambda _s: _hist.observe_at(_key, _sim.now - t0)
+                    lambda _s: _hist.observe_at(_key, _clock.now - t0)
                 )
 
             self.cpu.cores.set_wait_hook(_on_request)
@@ -619,8 +633,8 @@ class _Run:
         CPU tail over what they handed back."""
         program = self.program
         if program.striped:
-            link = Resource(1, "host-link")
-            yield AllOf([
+            link = _sim.Resource(1, "host-link")
+            yield _sim.AllOf([
                 self.sim.spawn(self.chain(chain, card, link), name=f"card{i}")
                 for i, (chain, card) in enumerate(
                     zip(program.chains, self.cards)
@@ -673,7 +687,7 @@ class _Run:
                 self.sim.spawn(self.cpu_side(spans)),
                 self.sim.spawn(self.device_side(spans)),
             ]
-            yield AllOf(sides)
+            yield _sim.AllOf(sides)
         else:
             yield from self.device_side(spans)
         yield from self.batches(self.program.top)
@@ -729,7 +743,7 @@ class _Run:
             def worker(tasks: int):
                 yield self.cpu.cores.request(1)
                 start = self.sim.now
-                yield Timeout(spawn_overhead + tasks * cost * contention)
+                yield _sim.Timeout(spawn_overhead + tasks * cost * contention)
                 self.cpu.trace.record(start, self.sim.now, tag)
                 if tracer is not None:
                     tracer.span(
@@ -747,7 +761,7 @@ class _Run:
                     break
                 procs.append(self.sim.spawn(worker(take)))
                 remaining -= take
-            yield AllOf(procs)
+            yield _sim.AllOf(procs)
             if tracer is not None:
                 tracer.span(
                     tag, "cpu.batch", batch_start, self.sim.now,
@@ -769,7 +783,7 @@ class _Run:
                     break
                 durations.append(spawn_overhead + take * cost * contention)
                 remaining -= take
-        yield TeamBatch(
+        yield _sim.TeamBatch(
             self.sim, self.cpu.cores, durations, trace=self.cpu.trace, tag=tag
         )
         if tracer is not None:
@@ -822,7 +836,7 @@ class _Run:
         if self.tracer is None:
             for step, duration in zip(steps, durations):
                 start = sim.now
-                yield Timeout(duration)
+                yield _sim.Timeout(duration)
                 record(start, sim.now, f"kernel:{step.name}")
                 self.gpu_kernel_time += duration
             return
@@ -846,7 +860,7 @@ class _Run:
                      "parallel": parallel},
                 )
             start = sim.now
-            yield Timeout(duration)
+            yield _sim.Timeout(duration)
             end = sim.now
             record(start, end, ent[0])
             self.gpu_kernel_time += duration
@@ -873,7 +887,7 @@ class _Run:
                 "transfer", "gpu", [duration], label=tag, trace=device.trace
             )
         start = self.sim.now
-        yield Timeout(duration)
+        yield _sim.Timeout(duration)
         device.trace.record(start, self.sim.now, tag)
         self.transfer_time += duration
         if link is not None:

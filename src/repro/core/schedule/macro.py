@@ -35,14 +35,21 @@ order, with a conservative bail back to the DES in the one case the
 tie-break cannot be reproduced cheaply (the tail starting at exactly
 the timestamp of another pending pool event).
 
-Under an active tracer the replay records what the DES records: the
-run record, ``cpu.worker``/``cpu.batch``/``gpu.kernel``/``gpu.xfer``
+Each CPU team, GPU level and transfer is priced once per executor
+into a template (:class:`_Team`, :class:`_Level`, :class:`_Xfer`); a
+tuner sweep replays the same ones across hundreds of runs.  Under an
+active tracer the replay records what the DES records — the run
+record, the ``cpu.worker``/``cpu.batch``/``gpu.kernel``/``gpu.xfer``
 span rows in DES event order, and the per-level, transfer, core-wait
 and run metrics (``sim.events``/``sim.processes`` excepted: they count
-DES work, and a replayed run does none).  Everything is held back
-until the replay can no longer bail, and a traced run whose two sides
-complete something at the exact same timestamp — where the DES order
-would depend on event sequence numbers — bails to the DES.
+DES work, and a replayed run does none) — but keeps the rows compact:
+one :class:`~repro.obs.tracer.RunRows` per run, the templates that ran
+and their start times.  Templates carry the rows' names, lanes and
+attrs (built on a traced run's first use and shared across executors)
+and their counter increments.  Everything is held back until the
+replay can no longer bail, and a traced run whose two sides complete
+something at the exact same timestamp — where the DES order would
+depend on event sequence numbers — bails to the DES.
 
 Anything guarded, hooked, or slow-path always takes the DES, and
 ``ScheduleExecutor(macro=False)`` forces it per executor (the DES
@@ -56,15 +63,17 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Optional
+from operator import itemgetter
+from typing import Dict, Optional
 
 from repro.core.schedule import program as _program
 from repro.core.schedule.extensions import ParallelTailPlan
 from repro.core.schedule.workload import LEAVES
 from repro.cpu.cache import contention_factor
-from repro.obs.tracer import active as _obs_active
-from repro.util.ambient import resilience_session
+from repro.util.ambient import active_tracer, resilience_session
 from repro.util.intmath import ceil_div
+
+_end = itemgetter(1)  # an interval's end
 
 
 def macro_enabled(executor) -> bool:
@@ -85,87 +94,70 @@ def macro_enabled(executor) -> bool:
     )
 
 
-class _TracedLevel(tuple):
-    """A cached GPU level's kernel durations, plus ``steps``: each
-    kernel step's (name, items, ops) for the rows and counters a traced
-    replay records.  Untraced replays cache plain duration tuples."""
+#: Row parts and attr dicts shared by every executor's templates: equal
+#: parts are one object, whose text an export encodes once (tuners of
+#: one sweep price the same batch shapes on different executors).
+#: Bounded like the metrics' label-key cache: past the bound, parts go
+#: unshared.
+_SHARED: Dict[tuple, object] = {}
+_SHARED_MAX = 1 << 16
 
 
-class _MacroRun:
-    """Closed-form mirror of the executor's per-run state.
+def _shared(key: tuple, make):
+    """What ``make()`` builds, shared under ``key``, which must
+    determine it."""
+    value = _SHARED.get(key)
+    if value is None:
+        value = make()
+        if len(_SHARED) < _SHARED_MAX:
+            _SHARED[key] = value
+    return value
 
-    A CPU batch travels as ``(durations, level, count, tag prefix)``:
-    the program's batch with its per-worker durations in place of its
-    offset.
+
+class _Template:
+    """One step of an executor's programs, priced once: the
+    ``durations`` the replay chains and, built when a traced run first
+    needs them, the ``rows`` it records — the ``(name, category, lane,
+    attrs)`` parts of :class:`~repro.obs.tracer.RunRows`."""
+
+    __slots__ = ("durations", "_rows")
+
+    @property
+    def rows(self) -> tuple:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _shared(self._row_key(), self._make_rows)
+        return rows
+
+
+class _Team(_Template):
+    """One CPU team batch.
+
+    ``durations`` are the per-worker times of ``_Run.cpu_batch``:
+    ``min(count, cores)`` workers with statically ceil-divided chunks,
+    spawn overhead when more than one, the LLC contention factor
+    throughout.  They are non-increasing (full chunks first, then the
+    remainder), so ``durations[0]`` is the batch's uncontended critical
+    path.  The rows are its ``cpu.worker`` and ``cpu.batch`` rows; a
+    traced run also counts its ``cpu_batch`` increments (``ops``,
+    ``llc``).
     """
 
     __slots__ = (
-        "x", "w", "cores", "ws", "llc", "kappa", "spawn",
-        "cpu_iv", "gpu_iv", "gpu_kernel_time", "transfer_time",
-        "tracer", "ri", "lane", "rows", "dev_rows", "agg", "gpu_incs",
-        "xfers", "zero_waits", "waits",
+        "level", "count", "workers", "prefix", "cpu_name", "ops", "llc",
     )
 
-    def __init__(self, executor, cores: Optional[int] = None) -> None:
-        self.x = executor
-        self.w = executor.workload
-        cpu_spec = executor.hpu.cpu_spec
-        self.cores = cpu_spec.p if cores is None else cores
-        self.ws = self.w.working_set_bytes()
-        self.llc = cpu_spec.llc_bytes
-        self.kappa = cpu_spec.cache_kappa
-        self.spawn = cpu_spec.thread_spawn_overhead
-        # Raw busy intervals in DES record order, as (start, end) pairs
-        # like BusyTrace.intervals (the result exposes no tags).  The
-        # workers of one completion group share one pair.
-        self.cpu_iv = []
-        self.gpu_iv = []
-        self.gpu_kernel_time = 0.0
-        self.transfer_time = 0.0
-        self.tracer = tracer = _obs_active()
-        if tracer is not None:
-            # What the DES would record, held back until finish(): the
-            # run index is already fixed (nothing else records while
-            # the replay runs).  Rows go to ``rows`` in DES order; an
-            # advanced run points ``dev_rows`` at a list of its own and
-            # merges the two sides by time.
-            self.ri = len(tracer.runs)
-            # TeamBatch's worker lane: the CPU trace name, else the pool's.
-            name = cpu_spec.name
-            self.lane = f"{name or f'{name}.cores'}.workers"
-            self.rows = []
-            self.dev_rows = self.rows
-            self.agg = {}  # level -> [ops, batches, llc events], call order
-            self.gpu_incs = []  # (level, launches, ops) per GPU level
-            self.xfers = []  # (tag, words) per transfer
-            self.zero_waits = 0  # core-pool grants with no wait
-            self.waits = []  # queued grants' waits, in grant order
-
-    # -- CPU -----------------------------------------------------------
-    def team_durations(self, level, count: int):
-        """Per-worker durations of one team batch of ``count > 0`` tasks.
-
-        The same arithmetic as ``_Run.cpu_batch``: ``min(count, cores)``
-        workers with statically ceil-divided chunks, spawn overhead when
-        more than one, the LLC contention factor throughout.  Durations
-        are non-increasing (full chunks first, then the remainder), so
-        ``durations[0]`` is the batch's uncontended critical path.
-
-        Memoized per executor on (level, count, cores): the inputs are
-        otherwise fixed per (HPU, workload), and a tuner sweep replays
-        the same level batches across hundreds of runs.
-        """
-        cache = self.x._team_cache
-        key = (level, count, self.cores)
-        durations = cache.get(key)
-        if durations is not None:
-            return durations
-        cost = self.w.cost_at(level)
-        cores = self.cores
+    def __init__(self, executor, level, count: int, cores: int,
+                 prefix: str) -> None:
+        w = executor.workload
+        spec = executor.hpu.cpu_spec
+        cost = w.cost_at(level)
         workers = count if count < cores else cores
-        contention = contention_factor(self.ws, self.llc, workers, self.kappa)
+        contention = contention_factor(
+            w.working_set_bytes(), spec.llc_bytes, workers, spec.cache_kappa
+        )
         chunk = ceil_div(count, workers)
-        spawn = self.spawn if workers > 1 else 0.0
+        spawn = spec.thread_spawn_overhead if workers > 1 else 0.0
         if chunk * workers == count:
             durations = (spawn + chunk * cost * contention,) * workers
         else:
@@ -178,23 +170,175 @@ class _MacroRun:
                 priced.append(spawn + take * cost * contention)
                 remaining -= take
             durations = tuple(priced)
-        cache[key] = durations
-        return durations
+        self.durations = durations
+        self._rows = None
+        self.level = level
+        self.count = count
+        self.workers = workers
+        self.prefix = prefix
+        self.cpu_name = spec.name
+        self.ops = count * cost
+        self.llc = 1 if contention > 1.0 else 0
 
-    def record_team(self, now: float, batch) -> float:
+    def _row_key(self) -> tuple:
+        return ("team rows", self.cpu_name, self.prefix, self.level,
+                self.count, self.workers)
+
+    def _make_rows(self) -> tuple:
+        level = self.level
+        tag = self.prefix if level == LEAVES else f"{self.prefix}:{level}"
+        # TeamBatch's worker lane: the CPU trace name, else the pool's.
+        name = self.cpu_name
+        count, workers = self.count, self.workers
+        attrs = _shared(("team attrs", level, count, workers), lambda: {
+            "level": level,
+            "phase": "base" if level == LEAVES else "combine",
+            "tasks": count,
+            "workers": workers,
+        })
+        return (
+            (tag, "cpu.worker", f"{name or f'{name}.cores'}.workers", None),
+            (tag, "cpu.batch", "cpu", attrs),
+        )
+
+
+class _Level(_Template):
+    """One GPU level: its kernel steps' durations, one ``gpu.kernel``
+    row each."""
+
+    __slots__ = ("level", "parallel", "steps")
+
+    def __init__(self, executor, level, offset: int, count: int,
+                 parallel: bool) -> None:
+        steps, priced = executor._kernel_level(level, offset, count, parallel)
+        self.durations = tuple(priced)
+        self._rows = None
+        self.level = level
+        self.parallel = parallel
+        self.steps = steps
+
+    @property
+    def ops(self) -> float:
+        """The level's kernel ops, summed in step order."""
+        ops = 0.0
+        for step in self.steps:
+            ops += step.items * step.ops_per_item
+        return ops
+
+    def _row_key(self) -> tuple:
+        return ("level rows", self.level, self.parallel,
+                tuple([(step.name, step.items) for step in self.steps]))
+
+    def _make_rows(self) -> tuple:
+        level, parallel = self.level, self.parallel
+        return tuple(
+            (f"kernel:{step.name}", "gpu.kernel", "gpu", _shared(
+                ("kernel attrs", level, step.items, parallel),
+                lambda items=step.items: {
+                    "level": level, "items": items, "parallel": parallel,
+                },
+            ))
+            for step in self.steps
+        )
+
+
+class _Xfer(_Template):
+    """One host↔device transfer: one ``gpu.xfer`` row."""
+
+    __slots__ = ("tag", "words")
+
+    def __init__(self, executor, tag: str, words: int) -> None:
+        self.durations = (executor.hpu.transfer_time(words),)
+        self._rows = None
+        self.tag = tag
+        self.words = words
+
+    def _row_key(self) -> tuple:
+        return ("xfer rows", self.tag, self.words)
+
+    def _make_rows(self) -> tuple:
+        return ((self.tag, "gpu.xfer", "gpu", {"words": self.words}),)
+
+
+class _MacroRun:
+    """Closed-form mirror of the executor's per-run state.
+
+    CPU batches travel as :class:`_Team` templates, cached per executor
+    on ``(level, count, cores, prefix)``: a tuner sweep replays the same
+    batches across hundreds of runs.
+    """
+
+    __slots__ = (
+        "x", "cores", "cpu_iv", "gpu_iv", "gpu_kernel_time",
+        "transfer_time", "tracer", "pool", "device", "agg", "zero_waits",
+        "waits",
+    )
+
+    def __init__(self, executor, cores: Optional[int] = None) -> None:
+        self.x = executor
+        self.cores = executor.hpu.cpu_spec.p if cores is None else cores
+        # Raw busy intervals in DES record order, as (start, end) pairs
+        # like BusyTrace.intervals (the result exposes no tags).  The
+        # workers of one completion group share one pair.
+        self.cpu_iv = []
+        self.gpu_iv = []
+        self.gpu_kernel_time = 0.0
+        self.transfer_time = 0.0
+        self.tracer = tracer = active_tracer()
+        if tracer is not None:
+            # What the DES would record, held back until finish(): the
+            # templates that ran and when, as RunRows' pool and device
+            # lists, and the counters' increments.
+            self.pool = []
+            self.device = []
+            self.agg = {}  # level -> [ops, batches, llc events], call order
+            self.zero_waits = 0  # core-pool grants with no wait
+            self.waits = []  # queued grants' waits, in grant order
+
+    # -- CPU -----------------------------------------------------------
+    def teams(self, batches) -> list:
+        """A program's CPU batches as :class:`_Team` templates."""
+        x = self.x
+        cache = x._team_cache
+        cores = self.cores
+        teams = []
+        for level, _offset, count, prefix in batches:
+            key = (level, count, cores, prefix)
+            team = cache.get(key)
+            if team is None:
+                team = cache[key] = _Team(x, level, count, cores, prefix)
+            teams.append(team)
+        return teams
+
+    def count_batch(self, team: _Team) -> None:
+        """The DES's ``cpu_batch`` call: fold the team into its level's
+        counter aggregate (traced runs only)."""
+        agg = self.agg.get(team.level)
+        if agg is None:
+            agg = self.agg[team.level] = [0.0, 0, 0]
+        agg[0] += team.ops
+        agg[1] += 1
+        agg[2] += team.llc
+
+    def record_team(self, now: float, team: _Team) -> float:
         """Record one uncontended team batch; returns its fire time.
 
         Mirrors :class:`TeamBatch` on a free pool: every worker is
-        granted at ``now``, completion groups drain in ascending end
-        order, and each group records one interval per worker.
+        granted at ``now`` (a whole-team acquire that waits for
+        nothing), completion groups drain in ascending end order, and
+        each group records one interval per worker.
         """
-        durations = batch[0]
+        durations = team.durations
+        traced = self.tracer is not None
+        if traced:
+            self.count_batch(team)
+            self.zero_waits += 1
         if durations[0] == durations[-1]:
             # Homogeneous static chunks: one completion group.
             end = now + durations[0]
             self.cpu_iv += [(now, end)] * len(durations)
-            if self.tracer is not None:
-                self.trace_team(batch, now, ((end, len(durations)),))
+            if traced:
+                self.pool.append((team, now))
             return end
         # Heterogeneous chunks: group workers by identical end time and
         # drain the groups in end order, exactly like TeamBatch._finish
@@ -206,144 +350,62 @@ class _MacroRun:
         ordered = sorted(groups.items())
         for end, workers in ordered:
             self.cpu_iv += [(now, end)] * workers
-        if self.tracer is not None:
-            self.trace_team(batch, now, ordered)
+        if traced:
+            last = ordered[-1][0]
+            for end, workers in ordered:  # the batch fires with the last
+                self.pool.append((
+                    team, now if workers == 1 else (now,) * workers, end,
+                    now if end == last else None,
+                ))
         return ordered[-1][0]
-
-    def teams(self, batches) -> list:
-        """A program's CPU batches, each with its worker durations."""
-        return [
-            (self.team_durations(level, count), level, count, prefix)
-            for level, _offset, count, prefix in batches
-        ]
 
     def cpu_batches(self, now: float, batches) -> float:
         """Uncontended batches one after another from ``now``; returns
         the last one's end."""
-        for batch in self.teams(batches):
-            now = self.record_team(now, batch)
+        for team in self.teams(batches):
+            now = self.record_team(now, team)
         return now
-
-    # -- CPU tracing (traced runs only) ----------------------------------
-    def trace_batch_start(self, batch) -> str:
-        """The DES's ``cpu_batch`` call: fold the batch into its level's
-        counter aggregate; returns the batch's span tag."""
-        _durations, level, count, prefix = batch
-        agg = self.agg.get(level)
-        if agg is None:
-            agg = self.agg[level] = [0.0, 0, 0]
-        agg[0] += count * self.w.cost_at(level)
-        agg[1] += 1
-        workers = count if count < self.cores else self.cores
-        if contention_factor(self.ws, self.llc, workers, self.kappa) > 1.0:
-            agg[2] += 1
-        return prefix if level == LEAVES else f"{prefix}:{level}"
-
-    def trace_group(self, tag: str, starts, end: float) -> None:
-        """The ``cpu.worker`` row of one completion group."""
-        self.rows.append(
-            (tag, "cpu.worker", starts[0] if len(starts) == 1 else starts,
-             end, self.lane, self.ri, None)
-        )
-
-    def trace_batch_end(self, batch, tag: str, start: float,
-                        end: float) -> None:
-        """The ``cpu.batch`` row, with the executor's shared attr dict."""
-        _durations, level, count, _prefix = batch
-        workers = count if count < self.cores else self.cores
-        cache = self.x._obs_caches[2]
-        key = (tag, count, workers)
-        attrs = cache.get(key)
-        if attrs is None:
-            attrs = cache[key] = {
-                "level": level,
-                "phase": "base" if level == LEAVES else "combine",
-                "tasks": count,
-                "workers": workers,
-            }
-        self.rows.append((tag, "cpu.batch", start, end, "cpu", self.ri, attrs))
-
-    def trace_team(self, batch, now: float, groups) -> None:
-        """Rows and counters of one uncontended team: its whole-team
-        core acquire waits for nothing."""
-        tag = self.trace_batch_start(batch)
-        self.zero_waits += 1
-        for end, workers in groups:
-            self.trace_group(tag, (now,) * workers, end)
-        self.trace_batch_end(batch, tag, now, groups[-1][0])
 
     # -- GPU -----------------------------------------------------------
     def gpu_level(self, now: float, level, offset: int, count: int,
                   parallel: bool) -> float:
         """The kernel chain of one level; returns its end time."""
         # gpu_steps is a pure function of its arguments, so whole levels
-        # cache on the executor as duration tuples, skipping step
-        # construction and kernel pricing on the sweeps that replay
-        # identical levels hundreds of times.  A traced replay upgrades
-        # its entry to a _TracedLevel carrying the steps' span data.
-        traced = self.tracer is not None
-        level_cache = self.x._gpu_level_cache
+        # cache on the executor, skipping step construction and kernel
+        # pricing on the sweeps that replay identical levels hundreds of
+        # times.
+        cache = self.x._gpu_level_cache
         key = (level, count, offset, parallel)
-        durations = level_cache.get(key)
-        if durations is None or (traced and type(durations) is tuple):
-            steps, priced = self.x._kernel_level(
-                level, offset, count, parallel
+        template = cache.get(key)
+        if template is None:
+            template = cache[key] = _Level(
+                self.x, level, offset, count, parallel
             )
-            if traced:
-                durations = _TracedLevel(priced)
-                durations.steps = tuple(
-                    (step.name, step.items, step.items * step.ops_per_item)
-                    for step in steps
-                )
-            else:
-                durations = tuple(priced)
-            level_cache[key] = durations
+        if self.tracer is not None:
+            self.device.append((template, now))
         intervals = self.gpu_iv
         kernel_time = self.gpu_kernel_time
-        if not traced:
-            for duration in durations:
-                end = now + duration
-                intervals.append((now, end))
-                kernel_time += duration
-                now = end
-            self.gpu_kernel_time = kernel_time
-            return now
-        rows = self.dev_rows
-        ri = self.ri
-        cache = self.x._obs_caches[2]
-        ops = 0.0
-        for duration, (name, items, step_ops) in zip(
-            durations, durations.steps
-        ):
+        for duration in template.durations:
             end = now + duration
             intervals.append((now, end))
             kernel_time += duration
-            ck = (name, level, items, parallel)
-            ent = cache.get(ck)
-            if ent is None:
-                ent = cache[ck] = (
-                    f"kernel:{name}",
-                    {"level": level, "items": items, "parallel": parallel},
-                )
-            rows.append((ent[0], "gpu.kernel", now, end, "gpu", ri, ent[1]))
-            ops += step_ops
             now = end
         self.gpu_kernel_time = kernel_time
-        if durations:
-            self.gpu_incs.append((level, len(durations), ops))
         return now
 
     def gpu_transfer(self, now: float, words: int, tag: str) -> float:
         """One host↔device transfer; returns its end time."""
-        duration = self.x.hpu.transfer_time(words)
+        cache = self.x._xfer_cache
+        key = (tag, words)
+        template = cache.get(key)
+        if template is None:
+            template = cache[key] = _Xfer(self.x, tag, words)
+        if self.tracer is not None:
+            self.device.append((template, now))
+        duration = template.durations[0]
         end = now + duration
         self.gpu_iv.append((now, end))
         self.transfer_time += duration
-        if self.tracer is not None:
-            self.dev_rows.append(
-                (tag, "gpu.xfer", now, end, "gpu", self.ri, {"words": words})
-            )
-            self.xfers.append((tag, words))
         return end
 
     def chain(self, now: float, chain) -> float:
@@ -353,15 +415,29 @@ class _MacroRun:
             now = self.gpu_level(now, level, offset, count, parallel)
         return self.gpu_transfer(now, chain.words, "d2h")
 
+    def sides_tie(self) -> bool:
+        """Whether a pool row and a device row end at the same time.
+
+        Each side records at nondecreasing times, so the DES order of
+        the rows is the merge by end time — except where the two sides
+        record at one timestamp, which the engine orders by sequence
+        numbers the replay does not track.  Every row ends where a busy
+        interval does.
+        """
+        device_ends = set(map(_end, self.gpu_iv))
+        return not device_ends.isdisjoint(map(_end, self.cpu_iv))
+
     # -- wrap-up ---------------------------------------------------------
     def finish(self, final_now: float, program, cpu_side: float,
                gpu_side: float):
         from repro.core.schedule.executor import HybridRunResult
 
         x = self.x
-        makespan = x.noise.apply(final_now, self.w.name, *program.noise_key)
+        makespan = x.noise.apply(
+            final_now, x.workload.name, *program.noise_key
+        )
         if self.tracer is not None:
-            self.flush(final_now, makespan)
+            run_index = self.flush(final_now, makespan)
         result = HybridRunResult(
             makespan=makespan,
             sequential_ops=x.sequential_ops(),
@@ -375,15 +451,18 @@ class _MacroRun:
             recovery=(),
         )
         if self.tracer is not None and program.oracle is not None:
-            x._note_conformance(self.tracer, self.ri, result, program.oracle)
+            x._note_conformance(self.tracer, run_index, result, program.oracle)
         return result
 
-    def flush(self, final_now: float, makespan: float) -> None:
-        """Record the replayed run on the tracer as ``_Run`` would."""
+    def flush(self, final_now: float, makespan: float) -> int:
+        """Record the replayed run on the tracer as ``_Run`` would;
+        returns its run index."""
+        from repro.obs.tracer import RunRows
+
         x = self.x
-        w = self.w
+        w = x.workload
         tracer = self.tracer
-        tracer.begin_run(
+        record = tracer.begin_run(
             f"{x.hpu.name}:{w.name}",
             platform=x.hpu.name,
             workload=w.name,
@@ -392,66 +471,47 @@ class _MacroRun:
             fast=x.fast,
         )
         obs = x._obs_metrics(tracer.metrics)
-        tracer.span_rows.extend(self.rows)
+        pool = self.pool
+        device = self.device
+        lanes = (pool[0][0].rows[0][2], "cpu") if pool else ()
+        if device:
+            lanes += ("gpu",)
+        tracer.span_rows.append(RunRows(record.index, pool, device, lanes))
+        observe, lk_wait = obs.core_wait.observe_at, obs.lk_wait
         for wait in self.waits:
-            obs.core_wait.observe_at(obs.lk_wait, wait)
-        obs.core_wait.observe_many_at(obs.lk_wait, 0.0, self.zero_waits)
-        for level, launches, ops in self.gpu_incs:
-            key = obs.gpu_label(level)
-            obs.kernel_launches.inc_at(key, launches)
-            obs.gpu_ops.inc_at(key, ops)
-        for tag, words in self.xfers:
-            obs.count_transfer("gpu", tag, words)
+            observe(lk_wait, wait)
+        obs.core_wait.observe_many_at(lk_wait, 0.0, self.zero_waits)
+        xfers = []
+        for template, _start in device:
+            if type(template) is _Xfer:
+                xfers.append(template)
+            elif template.durations:
+                key = obs.gpu_label(template.level)
+                obs.kernel_launches.inc_at(key, len(template.durations))
+                obs.gpu_ops.inc_at(key, template.ops)
+        for template in xfers:
+            obs.count_transfer("gpu", template.tag, template.words)
         obs.flush_cpu(self.agg)
         obs.runs.inc_at(obs.lk_none)
         obs.makespan.observe_at(obs.lk_run, makespan)
         tracer.end_run(final_now)
-
-
-def _merge_by_time(pool_rows, device_rows):
-    """Interleave the two sides' rows in DES order, or ``None`` to bail.
-
-    Each side appends its rows in its own order at nondecreasing times,
-    so the DES order is the merge by time — except where the two sides
-    record at the same timestamp, which the engine orders by sequence
-    numbers the replay does not track.
-    """
-    if not device_rows:
-        return pool_rows
-    merged = []
-    append = merged.append
-    i = j = 0
-    n_pool = len(pool_rows)
-    n_dev = len(device_rows)
-    while i < n_pool and j < n_dev:
-        t_pool = pool_rows[i][3]
-        t_dev = device_rows[j][3]
-        if t_pool < t_dev:
-            append(pool_rows[i])
-            i += 1
-        elif t_dev < t_pool:
-            append(device_rows[j])
-            j += 1
-        else:
-            return None
-    merged.extend(pool_rows[i:])
-    merged.extend(device_rows[j:])
-    return merged
+        return record.index
 
 
 # ----------------------------------------------------------------------
 # contended two-stream replay
 # ----------------------------------------------------------------------
-def _replay_tail_contention(run, cpu_batches, tail_batches,
-                            tail_start: float):
-    """Replay two batch streams contending for the core pool.
+_START, _GROUP, _WHOLE = 0, 1, 2  # the contended replay's event kinds
 
-    ``cpu_batches`` starts at 0, ``tail_batches`` at ``tail_start``;
-    each is a list of ``(durations, level, count, prefix)`` batches.
-    Returns ``(cpu_done, tail_done)`` fire times and appends the busy
-    intervals to ``run``'s CPU intervals in DES trace order (and, traced,
-    the rows, counter aggregates and core waits) — or ``None`` to bail
-    to the DES.
+
+def _replay_tail_contention(run, cpu_teams, tail_teams, tail_start: float):
+    """Replay two team streams contending for the core pool.
+
+    ``cpu_teams`` starts at 0, ``tail_teams`` at ``tail_start``; each is
+    a list of :class:`_Team` templates.  Returns ``(cpu_done,
+    tail_done)`` fire times and appends the busy intervals to ``run``'s
+    CPU intervals in DES trace order (and, traced, the pool rows,
+    counter aggregates and core waits) — or ``None`` to bail to the DES.
 
     This is the DES, shrunk to the only state the contended phase has:
     a unit-core FIFO pool and two sequential streams of
@@ -470,86 +530,124 @@ def _replay_tail_contention(run, cpu_batches, tail_batches,
     intervals = run.cpu_iv
     capacity = run.cores
     traced = run.tracer is not None
+    pool_rows = run.pool if traced else None
     heap = []
     seq = 0
     in_use = 0
-    # FIFO unit-core waiters as (duration, batch).  Invariant (all
+    # FIFO unit-core waiters, as [duration, batch, count] runs of one
+    # batch's consecutive equal-duration workers.  Invariant (all
     # requests are single units): waiters non-empty implies a full
     # pool, so a newly-starting batch never overtakes the queue.
     waiters = deque()
-    streams = (cpu_batches, tail_batches)
+    streams = (cpu_teams, tail_teams)
     index = [0, 0]  # next batch to create, per stream
     done = [0.0, 0.0]
-    # batch state: [stream, remaining_workers, completion_groups, spec,
-    # start time, tag].  heap entry: (time, seq, kind, batch, payload) —
-    # kind 1 is a batch START carrying its durations, kind 0 a
-    # completion-group FINISH carrying its end time.  seq is unique, so
-    # entries never compare beyond it.
+    # batch state: [stream, remaining workers, completion groups, team,
+    # start time].  heap entry: (time, seq, kind, batch, end) — kind
+    # _START starts a batch, _GROUP finishes the completion group ending
+    # at ``end``, _WHOLE finishes a homogeneous team granted whole.
+    # seq is unique, so entries never compare beyond it.
 
     def start_batch(stream: int, time: float) -> None:
         nonlocal seq
-        spec = streams[stream][index[stream]]
+        team = streams[stream][index[stream]]
         index[stream] += 1
-        durations = spec[0]
-        heappush(
-            heap,
-            (time, seq, 1, [stream, len(durations), {}, spec, time, None],
-             durations),
-        )
+        batch = [stream, len(team.durations), {}, team, time]
+        heappush(heap, (time, seq, _START, batch, None))
         seq += 1
 
-    def grant(duration: float, batch, now: float) -> None:
+    def grant(duration: float, batch, now: float, workers: int = 1) -> None:
+        """Grant ``workers`` equal workers of ``batch`` at ``now``: what
+        granting them one by one would push, as they share an end."""
         nonlocal seq, in_use
-        in_use += 1
+        in_use += workers
         end = now + duration
         groups = batch[2]
         group = groups.get(end)
         if group is None:
             groups[end] = group = []
-            heappush(heap, (end, seq, 0, batch, end))
+            heappush(heap, (end, seq, _GROUP, batch, end))
             seq += 1
-        group.append(now)
+        group += [now] * workers
 
     start_batch(0, 0.0)
     start_batch(1, tail_start)  # seq 1: pops first among tail_start ties
     while heap:
-        time, sq, kind, batch, payload = heappop(heap)
+        time, sq, kind, batch, end = heappop(heap)
         if sq == 1 and heap and heap[0][0] == time:
             return None  # tail start ties a pool event: order unknown
-        if kind == 1:  # batch START: grant workers in order, queue rest
-            whole = not waiters and in_use + len(payload) <= capacity
+        if kind == _START:  # grant workers in order, queue the rest
+            durations = batch[3].durations
             if traced:
-                batch[5] = run.trace_batch_start(batch[3])
-                if whole:  # TeamBatch acquires the whole team at once
+                run.count_batch(batch[3])
+            if not waiters and in_use + len(durations) <= capacity:
+                if traced:  # TeamBatch acquires the whole team at once
                     run.zero_waits += 1
-            for duration in payload:
-                if not waiters and in_use < capacity:
-                    grant(duration, batch, time)
-                    if traced and not whole:
-                        run.zero_waits += 1
+                if durations[0] == durations[-1]:
+                    # One completion group: what granting each worker
+                    # would push, in one push.
+                    in_use += len(durations)
+                    end = time + durations[0]
+                    heappush(heap, (end, seq, _WHOLE, batch, end))
+                    seq += 1
                 else:
-                    waiters.append((duration, batch))
-        else:  # completion-group FINISH at time == payload
-            starts = batch[2].pop(payload)
-            for start in starts:
-                intervals.append((start, payload))
+                    for duration in durations:
+                        grant(duration, batch, time)
+                continue
+            free = 0 if waiters else capacity - in_use
             if traced:
-                run.trace_group(batch[5], tuple(starts), payload)
-            in_use -= len(starts)
-            while waiters and in_use < capacity:
-                duration, waiting = waiters.popleft()
-                grant(duration, waiting, time)
-                if traced:
-                    run.waits.append(time - waiting[4])
-            batch[1] -= len(starts)
-            if batch[1] == 0:  # batch fires: its stream advances
-                if traced:
-                    run.trace_batch_end(batch[3], batch[5], batch[4], time)
-                stream = batch[0]
-                if index[stream] < len(streams[stream]):
-                    start_batch(stream, time)
+                run.zero_waits += free
+            if durations[0] == durations[-1]:
+                if free:
+                    grant(durations[0], batch, time, free)
+                waiters.append([durations[0], batch, len(durations) - free])
+                continue
+            for duration in durations[:free]:
+                grant(duration, batch, time)
+            for duration in durations[free:]:
+                last = waiters[-1] if waiters else None
+                if (last is not None and last[1] is batch
+                        and last[0] == duration):
+                    last[2] += 1
                 else:
-                    done[stream] = time
+                    waiters.append([duration, batch, 1])
+            continue
+        # a completion group finishes at time == end
+        if kind == _WHOLE:
+            workers = batch[1]
+            start = batch[4]
+            intervals += [(start, end)] * workers
+            if traced:
+                pool_rows.append((batch[3], start))
+        else:
+            starts = batch[2].pop(end)
+            workers = len(starts)
+            for start in starts:
+                intervals.append((start, end))
+            if traced:
+                pool_rows.append((
+                    batch[3], starts[0] if workers == 1 else tuple(starts),
+                    end, None if workers < batch[1] else batch[4],
+                ))
+        in_use -= workers
+        while waiters and in_use < capacity:
+            duration, waiting, queued = waiters[0]
+            granted = capacity - in_use
+            if granted < queued:
+                waiters[0][2] = queued - granted
+            else:
+                granted = queued
+                waiters.popleft()
+            grant(duration, waiting, time, granted)
+            if traced:
+                run.waits += [time - waiting[4]] * granted
+        batch[1] -= workers
+        if batch[1] == 0:  # batch fires: its stream advances
+            stream = batch[0]
+            if index[stream] < len(streams[stream]):
+                start_batch(stream, time)
+            else:
+                done[stream] = time
     return done
 
 
@@ -574,7 +672,6 @@ def replay(executor, program):
     if program.striped:
         return None
     run = _MacroRun(executor, program.cores)
-    traced = run.tracer is not None
     cpu_end = gpu_span = 0.0
     if not program.cpu:
         # One device at a time: the chain, then its tail.
@@ -585,34 +682,27 @@ def replay(executor, program):
     elif not program.chains:
         now = cpu_end = run.cpu_batches(0.0, program.cpu)
     else:
-        if traced:
-            run.dev_rows = []
-        cpu_batches = run.teams(program.cpu)
+        cpu_teams = run.teams(program.cpu)
         gpu_span = dev = run.chain(0.0, program.chains[0])
-        tail_batches = run.teams(program.tail)
+        tail_teams = run.teams(program.tail)
         # Uncontended critical path of the CPU side: each batch fires
         # at start + durations[0] (its longest worker).
         dry_end = 0.0
-        for batch in cpu_batches:
-            dry_end += batch[0][0]
-        if tail_batches and dev < dry_end:
-            ends = _replay_tail_contention(
-                run, cpu_batches, tail_batches, dev
-            )
+        for team in cpu_teams:
+            dry_end += team.durations[0]
+        if tail_teams and dev < dry_end:
+            ends = _replay_tail_contention(run, cpu_teams, tail_teams, dev)
             if ends is None:
                 return None  # ambiguous tie: let the DES order it
             cpu_end, tail_done = ends
         else:
-            for batch in cpu_batches:
-                cpu_end = run.record_team(cpu_end, batch)
+            for team in cpu_teams:
+                cpu_end = run.record_team(cpu_end, team)
             tail_done = dev
-            for batch in tail_batches:
-                tail_done = run.record_team(tail_done, batch)
-        if traced:
-            rows = _merge_by_time(run.rows, run.dev_rows)
-            if rows is None:
-                return None  # the sides record at one timestamp
-            run.rows = run.dev_rows = rows
+            for team in tail_teams:
+                tail_done = run.record_team(tail_done, team)
+        if run.tracer is not None and run.sides_tie():
+            return None  # the sides record at one timestamp
         now = cpu_end if cpu_end >= tail_done else tail_done
     now = run.cpu_batches(now, program.top)
     return run.finish(now, program, cpu_end, gpu_span)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cpu.cache import contention_factor
 from repro.errors import DeviceError
-from repro.sim import Resource, Simulator
 from repro.sim.trace import BusyTrace
 from repro.util.intmath import ceil_div
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim import Resource, Simulator
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,8 @@ class CPUDevice:
     # -- DES binding ----------------------------------------------------
     def bind(self, sim: Simulator) -> None:
         """Attach to a simulator run, creating a fresh core pool."""
+        from repro.sim.resources import Resource
+
         self._sim = sim
         self._cores = Resource(self.spec.p, f"{self.spec.name}.cores")
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.result import ExperimentResult  # noqa: F401 (re-export)
-from repro.obs.tracer import active as _obs_active
-from repro.util.ambient import resilience_session
+from repro.util.ambient import active_tracer, resilience_session
 from repro.util.grids import arange, round_all
 from repro.util.rng import NO_NOISE, NoiseModel
 
@@ -99,7 +98,7 @@ def _tuner_for(
     from repro.core.autotune import AutoTuner
     from repro.workloads import get as get_workload
 
-    memo = _tuner_memo(_obs_active(), resilience_session())
+    memo = _tuner_memo(active_tracer(), resilience_session())
     key = (hpu.name, workload, n, noise)
     tuner = memo.get(key)
     if tuner is None:
@@ -138,7 +137,7 @@ def sweep_best_operating_point(
     search (used by the ``--fast`` sweeps).
     """
     tuner = _tuner_for(hpu, n, noise, workload=workload)
-    tracer = _obs_active()
+    tracer = active_tracer()
     if tracer is not None:
         # Sweep boundary marker: everything until the next marker on the
         # trace timeline belongs to this (platform, workload, n) grid

@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.tracer import Tracer, expand_row
+from repro.obs.tracer import RunRows, Tracer, expand_row, iter_rows
 from repro.sim.trace import merge_intervals
 from repro.util.tables import format_table
 
@@ -332,7 +332,10 @@ def _collect(
         label = tracer.name
     spans: List[_Flat] = []
     horizon = 0.0
-    for row in tracer.span_rows:
+    rows = tracer.span_rows
+    if record is not None:  # expand no other run's compact rows
+        rows = [r for r in rows if type(r) is not RunRows or r.run == run]
+    for row in iter_rows(rows):
         row_run = row[5]
         if record is not None:
             if row_run != run:

@@ -29,7 +29,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, expand_row as _expand_row
+from repro.obs.tracer import (
+    RunRows,
+    Tracer,
+    expand_row as _expand_row,
+    iter_rows as _iter_rows,
+)
 
 #: Lane name used for run-level spans in the Chrome export.
 RUNS_LANE = "runs"
@@ -84,7 +89,7 @@ def chrome_trace(tracer: Tracer) -> dict:
     # with a run index are run-relative; their run's offset is applied
     # here.  Team rows (tuple-of-starts, see tracer.span_many) expand.
     runs = tracer.runs
-    for row in tracer.span_rows:
+    for row in _iter_rows(tracer.span_rows):
         row_run = row[5]
         offset = 0.0 if row_run is None else runs[row_run].offset
         for name, cat, start, end, device, run, attrs in _expand_row(
@@ -175,20 +180,31 @@ def _iter_chrome_trace(tracer: Tracer):
 
     Byte-identical to the dict form, without building it: one pre-pass
     over the rows assigns the lanes (the metadata events precede the
-    data events), then every row is encoded once from cached parts — a
+    data events), then every row is encoded from cached parts — a
     per-(name, category, lane) head and a per-attrs-dict ``args``
     prefix — and a worker-team row whose starts coincide becomes one
-    string repeated.
+    string repeated.  A replayed run's :class:`~repro.obs.tracer.
+    RunRows` is encoded straight from its templates: their texts once
+    per template, the ``run`` suffix once per run, and no row tuples.
+    Durations repeat across a sweep, so their texts are memoized.
     """
     dumps = json.dumps
     pid = 1
     tids: Dict[str, int] = {RUNS_LANE: 0}
     spans = 0
     for row in tracer.span_rows:
-        lane = row[4] or "untagged"
-        if lane not in tids:
-            tids[lane] = len(tids)
-        spans += len(row[2]) if type(row[2]) is tuple else 1
+        if type(row) is RunRows:
+            spans += row.spans
+            if all((lane or "untagged") in tids for lane in row.lanes):
+                continue
+            lanes = [r[4] for r in row.rows()]
+        else:
+            spans += len(row[2]) if type(row[2]) is tuple else 1
+            lanes = (row[4],)
+        for lane in lanes:
+            lane = lane or "untagged"
+            if lane not in tids:
+                tids[lane] = len(tids)
     for row in tracer.instant_rows:
         lane = row[4] or "untagged"
         if lane not in tids:
@@ -233,18 +249,29 @@ def _iter_chrome_trace(tracer: Tracer):
 
     # (name, cat, device) -> (head up to "ts", lane text from "pid" to
     # "args"); id(attrs) -> args text (without the closing brace when
-    # the row carries a run index).  Attr dicts are shared across rows
-    # and alive for the whole export, so their ids are stable keys.
+    # the row carries a run index); id(template rows) -> their (head,
+    # lane text + args text) pairs.  Attr dicts and row parts are
+    # shared across rows and alive for the whole export, so their ids
+    # are stable keys.
     heads: Dict[tuple, tuple] = {}
     run_args: Dict[int, str] = {}
     free_args: Dict[int, str] = {}
+    texts: Dict[int, Optional[tuple]] = {}
     # Row times are floats (run offsets are); float.__repr__ is what
     # json.dumps writes for a finite one.
     frepr = float.__repr__
-    offsets = [run.offset for run in runs]
-    pieces: List[str] = []
-    append = pieces.append
-    for name, cat, start, end, device, run, attrs in tracer.span_rows:
+    durations: Dict[float, str] = {}
+    known_duration = durations.get
+
+    def duration_text(dur: float) -> str:
+        if dur - dur == 0.0:
+            text = frepr(dur)
+            if dur:  # 0.0 and -0.0 are one key: neither is memoized
+                durations[dur] = text
+            return text
+        return dumps(dur)
+
+    def head_of(name: str, cat: str, device: str) -> tuple:
         key = (name, cat, device)
         head = heads.get(key)
         if head is None:
@@ -254,65 +281,164 @@ def _iter_chrome_trace(tracer: Tracer):
                 ", \"pid\": 1, \"tid\": " + str(tids[device or "untagged"])
                 + ", \"args\": ",
             )
-        if run is None:
-            offset = 0.0
-            args = free_args.get(id(attrs))
-            if args is None:
-                args = free_args[id(attrs)] = dumps(
-                    {k: _jsonable(v) for k, v in attrs.items()}
-                    if attrs else {}
-                ) + "}"
-        else:
-            offset = offsets[run]
-            args = run_args.get(id(attrs))
-            if args is None:
-                if not attrs:
-                    args = "{\"run\": "
-                elif "run" in attrs:  # the index overwrites in place
-                    args = None
-                else:
-                    body = dumps({k: _jsonable(v) for k, v in attrs.items()})
-                    args = body[:-1] + ", \"run\": "
-                if args is not None:
-                    run_args[id(attrs)] = args
-            if args is None:
-                full = {k: _jsonable(v) for k, v in attrs.items()}
-                full["run"] = run
-                args = dumps(full) + "}"
+        return head
+
+    def run_prefix(attrs) -> Optional[str]:
+        """The args text of a row in a run up to its index; ``None``
+        when the attrs carry a ``run`` key of their own."""
+        args = run_args.get(id(attrs))
+        if args is None:
+            if not attrs:
+                args = "{\"run\": "
+            elif "run" in attrs:  # the index overwrites in place
+                return None
             else:
-                args = f"{args}{run}}}}}"
-        head, lane = head
-        if type(start) is tuple:
+                body = dumps({k: _jsonable(v) for k, v in attrs.items()})
+                args = body[:-1] + ", \"run\": "
+            run_args[id(attrs)] = args
+        return args
+
+    def texts_of(rows: tuple) -> Optional[tuple]:
+        """(head, lane text + args prefix) per ``(name, cat, lane,
+        attrs)`` of a template's rows, or ``None`` if any needs the
+        generic path; memoized by the rows' id."""
+        out = []
+        for name, cat, lane, attrs in rows:
+            args = run_prefix(attrs)
+            if args is None:
+                texts[id(rows)] = None
+                return None
+            head, lane_text = head_of(name, cat, lane)
+            out.append((head, lane_text + args))
+        texts[id(rows)] = out = tuple(out)
+        return out
+
+    def times(ts: float, dur: float) -> str:
+        """The text from an event's ``ts`` value to its ``dur`` value."""
+        return (
+            f"{frepr(ts) if ts - ts == 0.0 else dumps(ts)}{_DUR}"
+            f"{known_duration(dur) or duration_text(dur)}"
+        )
+
+    def record_texts(record, offset: float) -> bool:
+        """Append the event texts of a :class:`RunRows` to the pieces,
+        in row order and in parts (head, times, lane and args, run
+        suffix); ``False``, appending nothing, if the record needs the
+        generic path."""
+        mark = len(pieces)
+        tail = f"{record.run}}}}}"
+        device_ends = []
+        device_parts = []
+        for template, now in record.device:
+            parts = texts.get(id(template.rows), False)
+            if parts is False:
+                parts = texts_of(template.rows)
+            if parts is None:
+                return False
+            for duration, (head, mid) in zip(template.durations, parts):
+                end = now + duration
+                ts = offset + now
+                device_parts.append(
+                    (head, times(ts, offset + end - ts), mid, tail)
+                )
+                device_ends.append(end)
+                now = end
+        extend = pieces.extend
+        i = 0
+        n_device = len(device_ends)
+        for item in record.pool:
+            team = item[0]
+            parts = texts.get(id(team.rows), False)
+            if parts is False:
+                parts = texts_of(team.rows)
+            if parts is None:
+                del pieces[mark:]
+                return False
+            (worker_head, worker_mid), (batch_head, batch_mid) = parts
+            if len(item) == 2:
+                # A whole team: its worker and batch rows share times.
+                start = item[1]
+                end = start + team.durations[0]
+                while i < n_device and device_ends[i] <= end:
+                    extend(device_parts[i])
+                    i += 1
+                ts = offset + start
+                shared = times(ts, offset + end - ts)
+                extend((worker_head, shared, worker_mid, tail)
+                       * len(team.durations))
+                extend((batch_head, shared, batch_mid, tail))
+                continue
+            _team, starts, end, batch = item
+            while i < n_device and device_ends[i] <= end:
+                extend(device_parts[i])
+                i += 1
             end = offset + end
-            if start.count(start[0]) == len(start):
-                ts = offset + start[0]
-                dur = end - ts
-                if ts - ts == 0.0 and dur - dur == 0.0:
-                    append(f"{head}{frepr(ts)}{_DUR}{frepr(dur)}{lane}{args}"
+            if type(starts) is not tuple:
+                starts = (starts,)
+            if starts.count(starts[0]) == len(starts):
+                ts = offset + starts[0]
+                extend((worker_head, times(ts, end - ts), worker_mid, tail)
+                       * len(starts))
+            else:
+                for start in starts:
+                    ts = offset + start
+                    extend((worker_head, times(ts, end - ts), worker_mid,
+                            tail))
+            if batch is not None:
+                ts = offset + batch
+                extend((batch_head, times(ts, end - ts), batch_mid, tail))
+        for parts in device_parts[i:]:
+            extend(parts)
+        return True
+
+    offsets = [run.offset for run in runs]
+    pieces: List[str] = []
+    append = pieces.append
+    for row in tracer.span_rows:
+        if type(row) is RunRows:
+            if record_texts(row, offsets[row.run]):
+                if len(pieces) >= 16384:  # about 4096 events in parts
+                    yield "".join(pieces)
+                    pieces.clear()
+                continue
+            rows = row.rows()
+        else:
+            rows = (row,)
+        for name, cat, start, end, device, run, attrs in rows:
+            head, lane = head_of(name, cat, device)
+            if run is None:
+                offset = 0.0
+                args = free_args.get(id(attrs))
+                if args is None:
+                    args = free_args[id(attrs)] = dumps(
+                        {k: _jsonable(v) for k, v in attrs.items()}
+                        if attrs else {}
+                    ) + "}"
+            else:
+                offset = offsets[run]
+                args = run_prefix(attrs)
+                if args is None:
+                    full = {k: _jsonable(v) for k, v in attrs.items()}
+                    full["run"] = run
+                    args = dumps(full) + "}"
+                else:
+                    args = f"{args}{run}}}}}"
+            if type(start) is tuple:
+                end = offset + end
+                if start.count(start[0]) == len(start):
+                    ts = offset + start[0]
+                    append(f"{head}{times(ts, end - ts)}{lane}{args}"
                            * len(start))
                 else:
-                    append(f"{head}{dumps(ts)}{_DUR}{dumps(dur)}{lane}{args}"
-                           * len(start))
+                    for s in start:
+                        ts = offset + s
+                        append(f"{head}{times(ts, end - ts)}{lane}{args}")
             else:
-                for s in start:
-                    ts = offset + s
-                    dur = end - ts
-                    if ts - ts == 0.0 and dur - dur == 0.0:
-                        append(f"{head}{frepr(ts)}{_DUR}{frepr(dur)}"
-                               f"{lane}{args}")
-                    else:
-                        append(f"{head}{dumps(ts)}{_DUR}{dumps(dur)}"
-                               f"{lane}{args}")
-        else:
-            ts = offset + start
-            dur = offset + end - ts
-            if ts - ts == 0.0 and dur - dur == 0.0:
-                append(f"{head}{frepr(ts)}{_DUR}{frepr(dur)}{lane}{args}")
-            else:
-                append(f"{head}{dumps(ts)}{_DUR}{dumps(dur)}{lane}{args}")
-        if len(pieces) >= 4096:
-            yield "".join(pieces)
-            pieces.clear()
+                ts = offset + start
+                append(f"{head}{times(ts, offset + end - ts)}{lane}{args}")
+            if len(pieces) >= 4096:
+                yield "".join(pieces)
+                pieces.clear()
     if pieces:
         yield "".join(pieces)
 

@@ -22,7 +22,14 @@ validation, no attribute dict unless the caller passed attributes — and
 somebody actually reads :attr:`Tracer.spans`.  Exporters bypass the
 materialization entirely and batch-flush the raw rows (see
 :func:`repro.obs.export.chrome_trace`).  :meth:`span_many` amortizes a
-shared name/end over a worker team's spans (the single hottest site).
+shared name/end over a worker team's spans.
+
+The closed-form replay, which runs almost every traced executor run,
+records less still: one :class:`RunRows` per run, holding its start
+times and references to the row templates its executor priced once.
+Readers see it through :func:`iter_rows` as the rows the DES would have
+recorded; the streamed Chrome export encodes it straight from the
+templates without building those rows.
 
 Runs and the timeline
 ---------------------
@@ -59,8 +66,114 @@ from repro.obs.metrics import MetricsRegistry
 #: :meth:`Tracer.span_many`) packs a whole worker group into one row by
 #: carrying a ``tuple`` of starts in the start slot; lazy
 #: materialization and the exporters expand it back into one span per
-#: start.
+#: start.  A replayed run's rows travel in one more compact form, a
+#: :class:`RunRows` in the row buffer; :func:`iter_rows` expands it in
+#: place, so every reader sees the same rows either way.
 SpanRow = Tuple[str, str, float, float, str, Optional[int], Optional[dict]]
+
+
+class RunRows:
+    """One replayed run's span rows in compact form.
+
+    The closed-form replay (:mod:`repro.core.schedule.macro`) prices
+    each CPU team and each GPU level once per executor and keeps the
+    result as a *row template*; a traced replay records only which
+    templates ran, and when.  A template carries ``durations`` and
+    ``rows``, the ``(name, category, lane, attrs)`` of its rows: a team
+    template one duration per worker (non-increasing) and the parts of
+    its ``cpu.worker`` and ``cpu.batch`` rows, a device template one
+    row per duration.
+
+    ``pool`` lists the core pool's rows in recording order:
+
+    - ``(team, start)``: a homogeneous team granted whole at ``start``,
+      i.e. its one ``cpu.worker`` row and its ``cpu.batch`` row, both
+      ending at ``start + durations[0]``;
+    - ``(team, starts, end, batch)``: one ``cpu.worker`` row, its start
+      slot as in a team row, followed, when ``batch`` is not ``None``,
+      by the team's ``cpu.batch`` row from ``batch`` to ``end``.
+
+    ``device`` lists ``(template, start)`` pairs: the template's rows
+    back to back from ``start``, each ending at ``start + duration``.
+    The run's rows are the two lists merged by end time, a device row
+    first when it ends with a pool row (a tie the replay allows only
+    for pool rows that start once the device side is done).  ``lanes``
+    names the lanes the rows use.  A template's ``rows`` is one object
+    for its lifetime: exporters memoize its text by identity.
+    """
+
+    __slots__ = ("run", "pool", "device", "lanes", "_spans")
+
+    def __init__(self, run: int, pool: list, device: list,
+                 lanes: Tuple[str, ...]) -> None:
+        self.run = run
+        self.pool = pool
+        self.device = device
+        self.lanes = lanes
+        self._spans: Optional[int] = None
+
+    @property
+    def spans(self) -> int:
+        """How many spans the rows expand to."""
+        if self._spans is None:
+            count = 0
+            for item in self.pool:
+                if len(item) == 2:
+                    count += len(item[0].durations) + 1
+                else:
+                    starts = item[1]
+                    count += len(starts) if type(starts) is tuple else 1
+                    count += item[3] is not None
+            for template, _start in self.device:
+                count += len(template.durations)
+            self._spans = count
+        return self._spans
+
+    def rows(self) -> List[SpanRow]:
+        """The plain rows, in recording order."""
+        run = self.run
+        device: List[SpanRow] = []
+        for template, now in self.device:
+            for duration, (name, cat, lane, attrs) in zip(
+                template.durations, template.rows
+            ):
+                end = now + duration
+                device.append((name, cat, now, end, lane, run, attrs))
+                now = end
+        merged: List[SpanRow] = []
+        i = 0
+        n_device = len(device)
+        for item in self.pool:
+            team = item[0]
+            if len(item) == 2:
+                start = item[1]
+                end = start + team.durations[0]
+                workers = len(team.durations)
+                starts = start if workers == 1 else (start,) * workers
+                batch = start
+            else:
+                _team, starts, end, batch = item
+            while i < n_device and device[i][3] <= end:
+                merged.append(device[i])
+                i += 1
+            worker, batch_row = team.rows
+            merged.append(
+                (worker[0], worker[1], starts, end, worker[2], run, worker[3])
+            )
+            if batch is not None:
+                merged.append((batch_row[0], batch_row[1], batch, end,
+                               batch_row[2], run, batch_row[3]))
+        merged.extend(device[i:])
+        return merged
+
+
+def iter_rows(rows) -> Iterator[SpanRow]:
+    """The plain rows of a row buffer, :class:`RunRows` expanded."""
+    for row in rows:
+        if type(row) is RunRows:
+            yield from row.rows()
+        else:
+            yield row
 
 
 def expand_row(row: SpanRow, offset: float = 0.0):
@@ -211,7 +324,7 @@ class _LazySpanList:
                 cache = [
                     cls(name, cat, start, end, device=device, run=run,
                         attrs=attrs)
-                    for row in self._rows
+                    for row in iter_rows(self._rows)
                     for name, cat, start, end, device, run, attrs in
                     expand_row(
                         row,
@@ -228,7 +341,9 @@ class _LazySpanList:
         if self._cls is Instant:
             return len(self._rows)
         return sum(
-            len(row[2]) if type(row[2]) is tuple else 1 for row in self._rows
+            row.spans if type(row) is RunRows
+            else len(row[2]) if type(row[2]) is tuple else 1
+            for row in self._rows
         )
 
     def __bool__(self) -> bool:
@@ -249,7 +364,8 @@ class Tracer:
 
     def __init__(self, name: str = "repro") -> None:
         self.name = name
-        #: Flat row buffers — the ground truth the exporters flush.
+        #: Flat row buffers — the ground truth the exporters flush
+        #: (span rows, and :class:`RunRows` of replayed runs).
         self.span_rows: List[SpanRow] = []
         self.instant_rows: List[SpanRow] = []
         self.runs: List[RunRecord] = []
@@ -331,7 +447,8 @@ class Tracer:
             # *is* the duration — no subtraction against the offset.
             index = run.index
             duration = max(
-                (row[3] for row in self.span_rows if row[5] == index),
+                (row[3] for row in iter_rows(self.span_rows)
+                 if row[5] == index),
                 default=0.0,
             )
         run.duration = duration
@@ -459,7 +576,7 @@ class Tracer:
             self.end_run()
         return {
             "name": self.name,
-            "span_rows": list(self.span_rows),
+            "span_rows": list(iter_rows(self.span_rows)),
             "instant_rows": list(self.instant_rows),
             "runs": [
                 (r.label, r.offset, r.duration, r.attrs) for r in self.runs
@@ -523,7 +640,7 @@ class Tracer:
     def devices(self) -> List[str]:
         """Device lane names in first-seen order."""
         seen: Dict[str, None] = {}
-        for row in self.span_rows:
+        for row in iter_rows(self.span_rows):
             seen.setdefault(row[4])
         for row in self.instant_rows:
             seen.setdefault(row[4])

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import DeviceError
-from repro.obs.tracer import active as _obs_active
 from repro.opencl.device import GPUDevice
 from repro.opencl.kernel import Kernel, NDRange
 from repro.opencl.memory import Buffer
 from repro.sim import Resource, Simulator, Timeout
 from repro.sim.signals import Signal
-from repro.util.ambient import resilience_session
+from repro.util.ambient import active_tracer, resilience_session
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -92,7 +91,7 @@ class CommandQueue:
                     tag=tag, queued=queued_at, start=start, end=self.sim.now
                 )
             )
-            tracer = _obs_active()
+            tracer = active_tracer()
             if tracer is not None:
                 device = self.device.spec.name
                 tracer.span(
@@ -123,7 +122,7 @@ class CommandQueue:
         self, kernel: Kernel, ndrange: NDRange, args, tag: Optional[str] = None
     ) -> Signal:
         """Enqueue a kernel launch; returns a completion signal."""
-        tracer = _obs_active()
+        tracer = active_tracer()
         if tracer is not None:
             tracer.metrics.counter("gpu.kernel_launches").inc(
                 device=self.device.spec.name, kernel=kernel.name
@@ -147,7 +146,7 @@ class CommandQueue:
             buf.data[: host.size] = host
             return self.device.transfer_time(int(host.size))
 
-        tracer = _obs_active()
+        tracer = active_tracer()
         if tracer is not None:
             tracer.metrics.counter("xfer.bytes").inc(
                 int(host.nbytes), device=self.device.spec.name, dir="h2d"
@@ -167,7 +166,7 @@ class CommandQueue:
             host[:] = buf.data[: host.size]
             return self.device.transfer_time(int(host.size))
 
-        tracer = _obs_active()
+        tracer = active_tracer()
         if tracer is not None:
             tracer.metrics.counter("xfer.bytes").inc(
                 int(host.nbytes), device=self.device.spec.name, dir="d2h"

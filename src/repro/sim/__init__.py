@@ -13,30 +13,35 @@ requests in FIFO order.  All times are floats in *simulated ops*
 normalization).
 """
 
-from repro.sim.batch import TeamBatch
-from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
-from repro.sim.process import AllOf, Process, Timeout
-from repro.sim.resources import Resource
-from repro.sim.signals import Signal
-from repro.sim.trace import (
-    BusyTrace,
-    merge_intervals,
-    overlap_length,
-    time_at_concurrency,
-)
+import importlib
 
-__all__ = [
-    "Simulator",
-    "EventQueue",
-    "AllOf",
-    "Process",
-    "Timeout",
-    "Resource",
-    "Signal",
-    "TeamBatch",
-    "BusyTrace",
-    "merge_intervals",
-    "overlap_length",
-    "time_at_concurrency",
-]
+# Public name -> defining submodule.  Resolved on first attribute access
+# (PEP 562): the closed-form replay needs only the busy-interval helpers
+# of ``repro.sim.trace``, so a process that never runs the DES never
+# loads the engine, its processes, resources or team batches.
+_EXPORTS = {
+    "Simulator": "engine",
+    "EventQueue": "events",
+    "AllOf": "process",
+    "Process": "process",
+    "Timeout": "process",
+    "Resource": "resources",
+    "Signal": "signals",
+    "TeamBatch": "batch",
+    "BusyTrace": "trace",
+    "merge_intervals": "trace",
+    "overlap_length": "trace",
+    "time_at_concurrency": "trace",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+

@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.obs.tracer import active as _obs_active
 from repro.sim.signals import Signal
+from repro.util.ambient import active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -114,7 +114,7 @@ class TeamBatch(Signal):
         if self._trace is not None:
             for start in starts:
                 self._trace.record(start, end, self._tag)
-        tracer = _obs_active()
+        tracer = active_tracer()
         if tracer is not None:
             # Worker-granularity spans on a per-device "... workers"
             # lane; the executor records the enclosing batch span.  The

@@ -10,9 +10,12 @@ that derives its cache identity (only a manifest, a JSON log or a serve
 worker reads that).  The results are a closed-form model, a schedule
 replay and the calibration sweeps, all on the standard library alone,
 so no id loads numpy (about 0.13 s) and, without a fault plan, none
-loads ``repro.resilience``.  Only host-backed runs need numpy.  A stray
-top-level import would add that cost back silently, so this test fails
-instead.
+loads ``repro.resilience``.  Only host-backed runs need numpy.  An
+untraced run loads neither the tracer nor the metrics registry, and
+only ext1, whose dual-card run queues on a shared host link, loads the
+discrete-event engine: every other run replays its schedule in closed
+form.  A stray top-level import would add that cost back silently, so
+this test fails instead.
 """
 
 import json
@@ -65,6 +68,12 @@ HEAVY = (
     "repro.resilience",
 )
 
+#: What an untraced run needs only when tracing or running the DES.
+UNTRACED = ("repro.obs.tracer", "repro.obs.metrics", "repro.sim.engine")
+
+#: Ids whose runs take the DES: ext1's dual-card run.
+DES_IDS = {"ext1"}
+
 #: Extra modules an id must not load: table1 prints a static table,
 #: and fig9 prices the Fig. 9 kernels without the hybrid schedule or
 #: the analytical model.
@@ -105,7 +114,9 @@ def loaded_modules(tmp_path, script, *args):
 @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
 def test_cli_run_leaves_heavy_modules_unimported(tmp_path, exp_id):
     loaded = loaded_modules(tmp_path, CLI_SCRIPT, exp_id)
-    heavy = set(HEAVY) | set(EXTRA.get(exp_id, ()))
+    heavy = set(HEAVY) | set(UNTRACED) | set(EXTRA.get(exp_id, ()))
+    if exp_id in DES_IDS:
+        heavy.discard("repro.sim.engine")
     assert not loaded & heavy, sorted(loaded & heavy)
 
 
