@@ -18,47 +18,42 @@ of Fig. 8); :mod:`repro.core.model.master` classifies recurrences by
 the master theorem.
 """
 
-from repro.core.model.advanced import AdvancedModel, AdvancedSolution
-from repro.core.model.closedform import ClosedFormModel
-from repro.core.model.context import ModelContext
-from repro.core.model.levels import (
-    basic_crossover_level,
-    level_time_cpu,
-    level_time_gpu,
-)
-from repro.core.model.master import MasterCase, classify_recurrence
-from repro.core.model.oracle import (
-    DEFAULT_RESIDUAL_BAND,
-    OPTIMISM_TOLERANCE,
-    ConformanceReport,
-    advanced_report,
-    basic_report,
-    conformance_from_attrs,
-    conformance_summary,
-    conformance_verdict,
-    predict_basic_time,
-)
-from repro.core.model.prediction import predict_hybrid_speedup, predict_hybrid_time
+import importlib
 
-__all__ = [
-    "ConformanceReport",
-    "DEFAULT_RESIDUAL_BAND",
-    "OPTIMISM_TOLERANCE",
-    "advanced_report",
-    "basic_report",
-    "conformance_from_attrs",
-    "conformance_summary",
-    "conformance_verdict",
-    "predict_basic_time",
-    "AdvancedModel",
-    "AdvancedSolution",
-    "ClosedFormModel",
-    "ModelContext",
-    "basic_crossover_level",
-    "level_time_cpu",
-    "level_time_gpu",
-    "MasterCase",
-    "classify_recurrence",
-    "predict_hybrid_speedup",
-    "predict_hybrid_time",
-]
+# Public name -> defining submodule.  Resolved on first attribute access
+# (PEP 562): a run that prices the advanced model never loads the
+# conformance oracle (traced runs only), the closed forms or the
+# master-theorem classifier.
+_EXPORTS = {
+    "AdvancedModel": "advanced",
+    "AdvancedSolution": "advanced",
+    "ClosedFormModel": "closedform",
+    "ModelContext": "context",
+    "basic_crossover_level": "levels",
+    "level_time_cpu": "levels",
+    "level_time_gpu": "levels",
+    "MasterCase": "master",
+    "classify_recurrence": "master",
+    "ConformanceReport": "oracle",
+    "DEFAULT_RESIDUAL_BAND": "oracle",
+    "OPTIMISM_TOLERANCE": "oracle",
+    "advanced_report": "oracle",
+    "basic_report": "oracle",
+    "conformance_from_attrs": "oracle",
+    "conformance_summary": "oracle",
+    "conformance_verdict": "oracle",
+    "predict_basic_time": "oracle",
+    "predict_hybrid_speedup": "prediction",
+    "predict_hybrid_time": "prediction",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -37,9 +37,12 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from repro.experiments.result import ExperimentResult
+
+if TYPE_CHECKING:
+    from repro.experiments.request import JobRequest
 
 #: Experiment id -> its module under ``repro.experiments``.  A module
 #: is imported on the experiment's first run, so a cold single-figure
@@ -85,37 +88,26 @@ EXPERIMENTS: Dict[str, Callable[[bool], ExperimentResult]] = {
 class RunSpec:
     """One runner invocation, as plain data (no argv involved).
 
-    The programmatic mirror of the CLI flags: ``repro.serve`` builds
-    these from validated job requests, tests build them directly, and
-    :func:`main` builds one from parsed arguments.  All fields are
-    picklable primitives so a spec can cross a process-pool boundary.
+    :attr:`request` is the validated run (what runs, and so what its
+    cache key names); every other field says where its artifacts go and
+    how it is observed.  ``repro.serve`` builds these from submitted
+    job requests, tests build them directly, and :func:`main` builds
+    one from parsed arguments.  All fields are picklable, so a spec can
+    cross a process-pool boundary.
     """
 
-    #: Experiment ids to run, or ``["sweep"]`` with :attr:`sweep` set.
-    experiments: Sequence[str] = ()
-    fast: bool = False
-    #: Activate the tracer even without file outputs.
-    trace: bool = False
+    #: The validated request (:func:`repro.experiments.request.
+    #: validate_request`): a figure selection or a custom sweep.
+    request: JobRequest
     trace_out: Optional[Path] = None
     metrics_out: Optional[Path] = None
-    #: Conformance residual band; None = no model check.
-    check_model: Optional[float] = None
-    report: bool = False
     #: Write a manifest even when nothing else forces one.
     manifest: bool = False
     run_id: Optional[str] = None
     results_dir: Path = Path("results")
-    #: Custom operating-point sweep (kind='sweep' requests): a dict of
-    #: ``platform``, ``n`` (list), and optional ``alphas`` / ``levels``
-    #: / ``adaptive`` / ``include_cpu_fallback`` / ``noise_amplitude``
-    #: / ``seed``.  Runs as the pseudo-experiment id ``"sweep"``.
-    sweep: Optional[dict] = None
     #: A ``repro.resilience.ResilienceConfig`` to install for the run.
     #: Resilient runs are uncacheable (their cache_key is empty).
     resilience: Optional[object] = None
-    #: Registered workload id (``repro.workloads``): retargets the
-    #: ``figw`` experiment or a custom sweep; None = mergesort.
-    workload: Optional[str] = None
     #: Render the ASCII per-device timeline into the outcome.
     trace_ascii: bool = False
     #: Recorded in the manifest's (volatile) argv field.
@@ -138,18 +130,17 @@ class RunOutcome:
     """What one :func:`run_request` produced.
 
     Its cache identity (:attr:`request`, :attr:`cache_key`) is a pure
-    function of the spec, derived on first read and then cached: an
-    untraced CLI run reads neither, and deriving them imports the serve
-    protocol.  The outcome holds the spec itself, not a copy, so read
-    them before mutating it.
+    function of the spec's request, derived on first read and then
+    cached: an untraced CLI run reads neither, and deriving them
+    fingerprints the package source.  The outcome holds the spec
+    itself, not a copy, so read them before mutating it.
     """
 
     run_id: str
     results: Dict[str, ExperimentResult]
-    #: What the cache identity derives from: the spec, the experiment
-    #: ids it selected, and whether the run was traced.
+    #: What the cache identity derives from: the spec and whether the
+    #: run was traced.
     spec: RunSpec = field(repr=False)
-    selected: List[str]
     traced: bool
     manifest: Optional[object] = None  # RunManifest when emitted
     manifest_path: Optional[Path] = None
@@ -169,8 +160,17 @@ class RunOutcome:
 
     @cached_property
     def request(self) -> Dict[str, object]:
-        """The canonical request (see :func:`_canonical_for_spec`)."""
-        return _canonical_for_spec(self.spec, self.selected, self.traced)
+        """The canonical request.  A job submitted through
+        ``repro-serve`` and the same request run directly reduce to one
+        dict, so their manifests carry identical ``cache_key``/``request``
+        blocks and either one warms the cache for the other."""
+        from repro.experiments.request import canonical_request
+
+        return canonical_request(
+            self.spec.request,
+            traced=self.traced,
+            resilient=self.spec.resilience is not None,
+        )
 
     @cached_property
     def cache_key(self) -> str:
@@ -219,54 +219,31 @@ def unique_run_id(results_dir: Union[str, Path], base: str) -> str:
     return run_id
 
 
-def _sweep_run(sweep: dict) -> Callable[[bool], ExperimentResult]:
-    """Build the pseudo-experiment callable for a custom sweep."""
+def _sweep_run(canonical: dict) -> Callable[[bool], ExperimentResult]:
+    """The pseudo-experiment of a custom sweep, run from its canonical
+    request (defaults resolved there), so it runs what its key names."""
     from repro.experiments.common import (
-        MEASUREMENT_NOISE,
         default_alpha_grid,
         fmt_ratio,
         sweep_best_operating_points,
     )
     from repro.hpu.platforms import get_platform
-    from repro.util.rng import DEFAULT_SEED, NoiseModel
+    from repro.util.rng import NoiseModel
 
     def run(fast: bool) -> ExperimentResult:
-        hpu = get_platform(sweep["platform"])
-        workload = sweep.get("workload") or "mergesort"
-        sizes = [int(n) for n in sweep["n"]]
-        alphas = sweep.get("alphas")
-        if alphas is None:
-            alphas = default_alpha_grid(fast)
-        levels = sweep.get("levels")
-        adaptive = sweep.get("adaptive")
-        if adaptive is None:
-            adaptive = fast
-        noise = MEASUREMENT_NOISE
-        if (
-            sweep.get("noise_amplitude") is not None
-            or sweep.get("seed") is not None
-        ):
-            noise = NoiseModel(
-                amplitude=(
-                    MEASUREMENT_NOISE.amplitude
-                    if sweep.get("noise_amplitude") is None
-                    else float(sweep["noise_amplitude"])
-                ),
-                seed=(
-                    DEFAULT_SEED
-                    if sweep.get("seed") is None
-                    else int(sweep["seed"])
-                ),
-            )
+        hpu = get_platform(canonical["platform"])
+        workload = canonical["workload"]
+        sizes = canonical["n"]
+        alphas = canonical["alphas"] or default_alpha_grid(fast)
         bests = sweep_best_operating_points(
             [(hpu, n) for n in sizes],
-            alphas=[float(a) for a in alphas],
-            levels=levels,
-            noise=noise,
-            include_cpu_fallback=bool(
-                sweep.get("include_cpu_fallback", True)
+            alphas=alphas,
+            levels=canonical["levels"],
+            noise=NoiseModel(
+                amplitude=canonical["noise_amplitude"], seed=canonical["seed"]
             ),
-            adaptive=bool(adaptive),
+            include_cpu_fallback=canonical["include_cpu_fallback"],
+            adaptive=canonical["adaptive"],
             workload=workload,
         )
         rows = []
@@ -291,8 +268,8 @@ def _sweep_run(sweep: dict) -> Callable[[bool], ExperimentResult]:
             headers=["platform", "n", "alpha*", "y*", "speedup"],
             rows=rows,
             notes=[
-                f"grid: {len(sizes)} sizes x {len(list(alphas))} alphas"
-                f" ({'adaptive' if adaptive else 'exhaustive'})",
+                f"grid: {len(sizes)} sizes x {len(alphas)} alphas"
+                f" ({'adaptive' if canonical['adaptive'] else 'exhaustive'})",
             ],
         )
 
@@ -300,18 +277,7 @@ def _sweep_run(sweep: dict) -> Callable[[bool], ExperimentResult]:
 
 
 def _build_manifest(
-    spec: RunSpec,
-    selected: List[str],
-    results: Dict[str, ExperimentResult],
-    tracer,
-    run_id: str,
-    outputs: Dict[str, Optional[str]],
-    session=None,
-    conformance: Optional[dict] = None,
-    analysis: Optional[dict] = None,
-    cache_key: str = "",
-    request: Optional[dict] = None,
-    workload: str = "mergesort",
+    outcome: RunOutcome, selected: List[str], tracer, session, analysis
 ):
     """Assemble the RunManifest for this invocation."""
     import os
@@ -322,15 +288,16 @@ def _build_manifest(
     from repro.obs.manifest import RunManifest, platform_manifest
     from repro.util.rng import DEFAULT_SEED
 
+    spec = outcome.spec
     return RunManifest(
         host_cpus=os.cpu_count() or 1,
-        run_id=run_id,
+        run_id=outcome.run_id,
         created_unix=int(time.time()),
         argv=(
             list(spec.argv) if spec.argv is not None else sys.argv[1:]
         ),
         experiments=selected,
-        fast=spec.fast,
+        fast=spec.request.fast,
         platforms={
             name: platform_manifest(hpu) for name, hpu in PLATFORMS.items()
         },
@@ -339,12 +306,12 @@ def _build_manifest(
         repro_version=repro.__version__,
         results={
             key: {"title": res.title, "notes": list(res.notes)}
-            for key, res in results.items()
+            for key, res in outcome.results.items()
         },
         metrics_summary=(
             tracer.metrics.summary() if tracer is not None else {}
         ),
-        outputs=outputs,
+        outputs=outcome.outputs,
         fault_plan=(
             session.config.plan.to_dict() if session is not None else {}
         ),
@@ -353,67 +320,11 @@ def _build_manifest(
             if session is not None
             else []
         ),
-        conformance=conformance or {},
+        conformance=outcome.conformance or {},
         analysis=analysis or {},
-        cache_key=cache_key,
-        request=request or {},
-        workload=workload,
-    )
-
-
-def _canonical_for_spec(
-    spec: RunSpec, selected: List[str], traced: bool
-) -> Dict[str, object]:
-    """The canonical request (and with it the cache identity) of a spec.
-
-    Shared with the service: a job submitted through ``repro-serve``
-    and the same configuration run directly through this module reduce
-    to identical canonical dicts, so their manifests carry identical
-    ``cache_key``/``request`` blocks and either one warms the cache for
-    the other.
-    """
-    from repro.serve.protocol import JobRequest, canonical_request
-
-    sweep = spec.sweep or {}
-    if sweep:
-        request = JobRequest(
-            kind="sweep",
-            fast=spec.fast,
-            platform=sweep.get("platform"),
-            n=tuple(int(n) for n in sweep.get("n", ())),
-            alphas=(
-                tuple(float(a) for a in sweep["alphas"])
-                if sweep.get("alphas") is not None
-                else None
-            ),
-            levels=(
-                tuple(int(v) for v in sweep["levels"])
-                if sweep.get("levels") is not None
-                else None
-            ),
-            adaptive=sweep.get("adaptive"),
-            include_cpu_fallback=bool(
-                sweep.get("include_cpu_fallback", True)
-            ),
-            noise_amplitude=sweep.get("noise_amplitude"),
-            seed=sweep.get("seed"),
-            check_model=spec.check_model,
-            report=spec.report,
-            workload=sweep.get("workload") or spec.workload,
-        )
-    else:
-        request = JobRequest(
-            kind="figure",
-            experiments=tuple(selected),
-            fast=spec.fast,
-            check_model=spec.check_model,
-            report=spec.report,
-            workload=spec.workload,
-        )
-    return canonical_request(
-        request,
-        traced=traced,
-        resilient=spec.resilience is not None,
+        cache_key=outcome.cache_key,
+        request=outcome.request,
+        workload=outcome.request["workload"],
     )
 
 
@@ -432,55 +343,33 @@ def run_request(
     completes) and everything else comes back in the
     :class:`RunOutcome`.
 
-    Raises ``ValueError`` for an invalid spec (unknown experiment ids
-    or workload, a sweep spec without platform/n).
+    ``spec.request`` comes validated (:func:`repro.experiments.request.
+    validate_request` raises ``ValueError`` for unknown experiment ids,
+    workloads or platforms), so this runs it as given.
     """
-    if spec.workload is not None:
-        from repro.workloads import WorkloadError, get as _get_workload
+    request = spec.request
+    if request.kind == "sweep":
+        from repro.experiments.request import canonical_request
 
-        try:
-            _get_workload(spec.workload)
-        except WorkloadError as exc:
-            raise ValueError(str(exc))
-
-    sweep = spec.sweep
-    if sweep is not None:
-        if spec.workload is not None and not sweep.get("workload"):
-            sweep = {**sweep, "workload": spec.workload}
-        for key in ("platform", "n"):
-            if not sweep.get(key):
-                raise ValueError(f"sweep spec needs {key!r}")
         selected = ["sweep"]
         runners: Dict[str, Callable[[bool], ExperimentResult]] = {
-            "sweep": _sweep_run(sweep)
+            "sweep": _sweep_run(canonical_request(request))
         }
     else:
-        selected = list(spec.experiments) or list(EXPERIMENTS)
-        unknown = [e for e in selected if e not in EXPERIMENTS]
-        if unknown:
-            raise ValueError(
-                f"unknown experiment(s): {', '.join(unknown)}; "
-                f"available: {', '.join(EXPERIMENTS)}"
-            )
+        selected = list(request.experiments)
         runners = {key: EXPERIMENTS[key] for key in selected}
-        if spec.workload is not None:
-            if "figw" not in selected:
-                raise ValueError(
-                    "--workload retargets the figw experiment (or a "
-                    "sweep); add figw to the selection"
-                )
+        if request.workload is not None:
             runners["figw"] = _import_experiment(
                 _MODULES["figw"]
-            ).run_for(spec.workload)
+            ).run_for(request.workload)
 
     # -- observability setup -------------------------------------------
     tracing_on = (
-        spec.trace
-        or spec.collect_trace
+        spec.collect_trace
         or spec.trace_out is not None
         or spec.metrics_out is not None
-        or spec.check_model is not None
-        or spec.report
+        or request.check_model is not None
+        or request.report
     )
     emit_manifest = (
         tracing_on or spec.manifest or spec.resilience is not None
@@ -506,7 +395,7 @@ def run_request(
             spec.log_json, "runner", correlation_id=spec.correlation_id
         )
         logger.event(
-            "run.started", experiments=list(selected), fast=spec.fast
+            "run.started", experiments=list(selected), fast=request.fast
         )
 
     session = None
@@ -518,7 +407,7 @@ def run_request(
     results: Dict[str, ExperimentResult] = {}
     try:
         for exp_key in selected:
-            result = runners[exp_key](spec.fast)
+            result = runners[exp_key](request.fast)
             results[exp_key] = result
             if logger is not None:
                 logger.event("run.experiment_done", experiment=exp_key)
@@ -563,8 +452,8 @@ def run_request(
         conformance = conformance_from_attrs(
             ((record.label, record.attrs) for record in tracer.runs),
             band=(
-                spec.check_model
-                if spec.check_model is not None
+                request.check_model
+                if request.check_model is not None
                 else DEFAULT_RESIDUAL_BAND
             ),
         )
@@ -580,7 +469,6 @@ def run_request(
         run_id=run_id,
         results=results,
         spec=spec,
-        selected=selected,
         traced=tracing_on,
         conformance=conformance,
         outputs=outputs,
@@ -600,23 +488,15 @@ def run_request(
         )
     if emit_manifest:
         run_dir = Path(spec.results_dir) / run_id
-        if spec.report:
+        if request.report:
             # Recorded in the manifest, so written before it.
             outputs["report"] = str(run_dir / "report.md")
         manifest = _build_manifest(
-            spec, selected, results, tracer, run_id, outputs,
-            session=session,
-            conformance=conformance, analysis=analysis,
-            cache_key=outcome.cache_key, request=outcome.request,
-            workload=(
-                spec.workload
-                or (spec.sweep or {}).get("workload")
-                or "mergesort"
-            ),
+            outcome, selected, tracer, session, analysis
         )
         outcome.manifest = manifest
         outcome.manifest_path = manifest.write(run_dir / "manifest.json")
-        if spec.report:
+        if request.report:
             from repro.obs.report import write_report
 
             outcome.report_path = write_report(
@@ -749,7 +629,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-model",
         nargs="?",
-        const="default",
+        type=float,
+        const=True,
         default=None,
         metavar="BAND",
         help="check every basic/advanced run against the analytical "
@@ -837,47 +718,32 @@ def main(argv=None) -> int:
             print(key)
         return 0
 
-    selected = args.experiments or list(EXPERIMENTS)
-    unknown = [e for e in selected if e not in EXPERIMENTS]
-    if unknown:
-        parser.error(
-            f"unknown experiment(s): {', '.join(unknown)}; "
-            f"available: {', '.join(EXPERIMENTS)}"
-        )
+    from repro.experiments.request import ProtocolError, validate_request
 
-    residual_band = None
-    if args.check_model is not None:
-        from repro.core.model.oracle import (
-            DEFAULT_RESIDUAL_BAND,
-            is_residual_band,
+    try:
+        request = validate_request(
+            {
+                "kind": "figure",
+                "experiments": args.experiments or list(EXPERIMENTS),
+                "fast": args.fast,
+                "check_model": args.check_model,
+                "report": args.report,
+                "workload": args.workload,
+            }
         )
-
-        if args.check_model == "default":
-            residual_band = DEFAULT_RESIDUAL_BAND
-        else:
-            try:
-                residual_band = float(args.check_model)
-            except ValueError:
-                residual_band = None
-            if not is_residual_band(residual_band):
-                parser.error(
-                    f"--check-model: expected a finite number > 0, "
-                    f"got {args.check_model!r}"
-                )
+    except ProtocolError as exc:
+        # The request's check_model field is this CLI's --check-model.
+        parser.error(str(exc).replace("check_model", "--check-model"))
 
     spec = RunSpec(
-        experiments=selected,
-        fast=args.fast,
+        request=request,
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
         trace_ascii=args.trace_ascii,
-        check_model=residual_band,
-        report=args.report,
         manifest=args.manifest,
         run_id=args.run_id,
         results_dir=args.results_dir,
         resilience=_resilience_config(args, parser),
-        workload=args.workload,
         argv=list(argv) if argv is not None else None,
         log_json=args.log_json,
     )
@@ -907,8 +773,6 @@ def main(argv=None) -> int:
 
     try:
         outcome = run_request(spec, on_result=emit)
-    except ValueError as exc:
-        parser.error(str(exc))
     finally:
         if profiler is not None:
             profiler.disable()

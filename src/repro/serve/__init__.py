@@ -1,7 +1,8 @@
 """repro.serve — simulation-as-a-service.
 
 A long-lived asyncio job daemon in front of the experiment runner:
-typed JSON job requests (:mod:`repro.serve.protocol`), a priority job
+typed JSON job requests (:mod:`repro.experiments.request`, framed by
+:mod:`repro.serve.protocol`), a priority job
 queue with bounded concurrency (:mod:`repro.serve.daemon`), a
 content-addressed result cache over the persistent run index
 (:mod:`repro.serve.cache`), a plain JSON-lines TCP / unix-socket
@@ -23,7 +24,8 @@ Quick tour::
 
 Repeat requests are free: every run's manifest records a canonical
 content hash of the request (platform, workload, n, noise, seed,
-schedule, queue backend, macro flag, ...), the run index carries it,
+schedule, grids, observability profile and the package's source
+fingerprint, ...), the run index carries it,
 and the daemon answers a matching submission from ``results/`` with a
 ``cache_hit`` marker instead of re-simulating.  See
 ``docs/SERVICE.md`` for the full protocol and operational notes.
@@ -33,7 +35,7 @@ import importlib
 
 # Public name -> defining submodule.  Resolved on first attribute access
 # (PEP 562), so importing one submodule -- the experiment runner needs
-# only ``protocol`` and ``cache`` for its cache key -- does not drag in
+# only ``cache`` for its cache key -- does not drag in
 # the daemon, the transport, the client and asyncio.
 _EXPORTS = {
     "ResultCache": "cache",

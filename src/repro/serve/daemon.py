@@ -607,7 +607,6 @@ class JobDaemon:
             from repro.serve.worker import build_spec, execute_job
 
             spec = build_spec(
-                job.canonical,
                 job.request,
                 results_dir=str(self.results_dir),
                 run_id=f"{time.strftime('%Y%m%d-%H%M%S')}-{job.job_id}",

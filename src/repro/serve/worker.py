@@ -20,7 +20,6 @@ from repro.experiments.runner import RunSpec, run_request
 
 
 def build_spec(
-    canonical: dict,
     request,
     results_dir: str,
     run_id: Optional[str] = None,
@@ -30,46 +29,21 @@ def build_spec(
 ) -> RunSpec:
     """The RunSpec executing one validated request.
 
-    Built from the *validated* request (grids, flags) with the
-    daemon-chosen run id and results tree.  ``correlation_id`` / ``collect_trace`` / ``log_json`` are the live
-    telemetry knobs: the job id threaded into the runner's tracer and
-    log events, whether to ship the engine trace back for stitching,
-    and the shared JSON-lines log path.  None of them enters the
-    canonical request (``collect_trace`` maps onto the pre-existing
-    ``traced`` observability profile the daemon already resolved into
-    ``canonical``), so they never change a cache key the daemon didn't
+    The request passes through as is, with the daemon-chosen run id and
+    results tree.  ``correlation_id`` / ``collect_trace`` / ``log_json``
+    are the live telemetry knobs: the job id threaded into the runner's
+    tracer and log events, whether to ship the engine trace back for
+    stitching, and the shared JSON-lines log path.  None of them enters
+    the canonical request (``collect_trace`` maps onto the ``traced``
+    observability profile the daemon already resolved into its
+    canonical), so they never change a cache key the daemon didn't
     already account for.
     """
-    if request.kind == "sweep":
-        sweep = {
-            "platform": request.platform,
-            "n": list(request.n),
-            "alphas": (
-                list(request.alphas) if request.alphas is not None else None
-            ),
-            "levels": (
-                list(request.levels) if request.levels is not None else None
-            ),
-            "adaptive": request.adaptive,
-            "include_cpu_fallback": request.include_cpu_fallback,
-            "noise_amplitude": request.noise_amplitude,
-            "seed": request.seed,
-            "workload": request.workload,
-        }
-        experiments = ()
-    else:
-        sweep = None
-        experiments = tuple(request.experiments)
     return RunSpec(
-        experiments=experiments,
-        fast=request.fast,
-        check_model=request.check_model,
-        report=request.report,
+        request=request,
         manifest=True,
         run_id=run_id,
         results_dir=Path(results_dir),
-        sweep=sweep,
-        workload=request.workload,
         argv=["repro-serve", request.kind],
         correlation_id=correlation_id,
         collect_trace=collect_trace,

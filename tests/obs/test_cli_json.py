@@ -4,10 +4,12 @@ output for scripts and the service smoke tests."""
 import json
 from pathlib import Path
 
+from repro.experiments.request import validate_request
 from repro.experiments.runner import RunSpec, run_request
 from repro.obs.cli import VOLATILE_KEYS, main
 
 SWEEP = {
+    "kind": "sweep",
     "platform": "HPU1",
     "n": [4096],
     "alphas": [0.5],
@@ -22,12 +24,10 @@ SWEEP = {
 def make_run(results_dir, run_id):
     return run_request(
         RunSpec(
-            experiments=(),
-            fast=True,
+            request=validate_request(SWEEP),
             manifest=True,
             results_dir=Path(results_dir),
             run_id=run_id,
-            sweep=dict(SWEEP),
         )
     )
 

@@ -82,6 +82,59 @@ class TestStability:
         assert len(keys) == 1
         assert keys == {key_of(FIGURE)}
 
+    def test_key_names_the_source(self, tmp_path):
+        """The key fingerprints the package that computes it: a copy of
+        the package keys like the original, and the same copy with one
+        byte changed keys differently, so a results tree never serves a
+        result of other code."""
+        import os
+        import shutil
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import json, sys\n"
+            "from repro.serve.cache import cache_key\n"
+            "from repro.serve.protocol import canonical_request, "
+            "validate_request\n"
+            "data = json.loads(sys.stdin.read())\n"
+            "print(cache_key(canonical_request(validate_request(data))))\n"
+        )
+        package = Path(repro.__file__).resolve().parent
+
+        def copy_package(root):
+            shutil.copytree(
+                package,
+                root / "repro",
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+            return root / "repro"
+
+        def key_in(root):
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                input=json.dumps(SWEEP),
+                capture_output=True,
+                text=True,
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": str(root)},
+                timeout=300,
+                check=True,
+            )
+            return result.stdout.strip()
+
+        copy_package(tmp_path / "same")
+        target = copy_package(tmp_path / "changed") / "core" / "schedule"
+        target = target / "macro.py"
+        data = target.read_bytes()
+        assert data.endswith(b"\n")
+        target.write_bytes(data[:-1] + b" ")
+
+        original = key_of(SWEEP)
+        assert key_in(tmp_path / "same") == original
+        assert key_in(tmp_path / "changed") != original
+
     def test_key_shape(self):
         key = key_of(FIGURE)
         assert len(key) == 32

@@ -382,7 +382,6 @@ class TestProcessPoolIdentity:
         for i, job in enumerate(jobs):
             direct = run_request(
                 build_spec(
-                    job.canonical,
                     job.request,
                     results_dir=str(tmp_path / "direct"),
                     run_id=f"direct-{i}",

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.request import validate_request
 from repro.experiments.runner import (
     RunSpec,
     run_request,
@@ -16,6 +17,7 @@ from repro.obs.cli import diff_manifests
 from repro.obs.manifest import RunManifest
 
 TINY_SWEEP = {
+    "kind": "sweep",
     "platform": "HPU1",
     "n": [4096],
     "alphas": [0.5],
@@ -27,13 +29,11 @@ TINY_SWEEP = {
 }
 
 
-def tiny_spec(results_dir, **overrides):
+def tiny_spec(results_dir, request=TINY_SWEEP, **overrides):
     spec = dict(
-        experiments=(),
-        fast=True,
+        request=validate_request(request),
         manifest=True,
         results_dir=Path(results_dir),
-        sweep=dict(TINY_SWEEP),
     )
     spec.update(overrides)
     return RunSpec(**spec)
@@ -94,7 +94,9 @@ class TestRunRequest:
         with pytest.raises(ValueError):
             run_request(
                 RunSpec(
-                    experiments=("no-such-experiment",),
+                    request=validate_request(
+                        {"kind": "figure", "experiments": ["no-such-experiment"]}
+                    ),
                     results_dir=Path(tmp_path),
                 )
             )
@@ -186,13 +188,12 @@ class TestTracedRunIsolation:
         def traced(run_id):
             return run_request(
                 tiny_spec(
-                    tmp_path, run_id=run_id, sweep=dict(sweep),
-                    check_model=0.6,
+                    tmp_path, dict(sweep, check_model=0.6), run_id=run_id
                 )
             )
 
         first = traced("first")
-        run_request(tiny_spec(tmp_path, run_id="other", sweep=other))
+        run_request(tiny_spec(tmp_path, other, run_id="other"))
         second = traced("second")
         assert first.cache_key == second.cache_key
         a = RunManifest.load(first.manifest_path)
@@ -276,7 +277,7 @@ class TestDaemonKeyMatchesRunnerKey:
         request = validate_request(data)
         canonical = canonical_request(request)
         outcome = run_request(
-            build_spec(canonical, request, str(tmp_path), run_id="k")
+            build_spec(request, str(tmp_path), run_id="k")
         )
         assert outcome.request == canonical
         assert outcome.cache_key == cache_key(canonical)

@@ -11,7 +11,8 @@ worker reads that).  The results are a closed-form model, a schedule
 replay and the calibration sweeps, all on the standard library alone,
 so no id loads numpy (about 0.13 s) and, without a fault plan, none
 loads ``repro.resilience``.  Only host-backed runs need numpy.  An
-untraced run loads neither the tracer nor the metrics registry, and
+untraced run loads neither the tracer, the metrics registry nor the
+model's conformance oracle, and
 only ext1, whose dual-card run queues on a shared host link, loads the
 discrete-event engine: every other run replays its schedule in closed
 form.  A stray top-level import would add that cost back silently, so
@@ -55,6 +56,15 @@ import repro.experiments.runner
 print(json.dumps({"rc": 0, "modules": sorted(sys.modules)}))
 """
 
+#: Validating and keying a sweep: the request is a leaf module.
+REQUEST_SCRIPT = """\
+import json, sys
+from repro.experiments.request import canonical_request, validate_request
+request = {"kind": "sweep", "platform": "HPU1", "n": [4096], "seed": 7}
+canonical_request(validate_request(request))
+print(json.dumps({"rc": 0, "modules": sorted(sys.modules)}))
+"""
+
 HEAVY = (
     "scipy",
     "repro.serve",
@@ -69,7 +79,12 @@ HEAVY = (
 )
 
 #: What an untraced run needs only when tracing or running the DES.
-UNTRACED = ("repro.obs.tracer", "repro.obs.metrics", "repro.sim.engine")
+UNTRACED = (
+    "repro.obs.tracer",
+    "repro.obs.metrics",
+    "repro.sim.engine",
+    "repro.core.model.oracle",
+)
 
 #: Ids whose runs take the DES: ext1's dual-card run.
 DES_IDS = {"ext1"}
@@ -129,3 +144,10 @@ def test_runner_import_loads_only_its_own_modules(tmp_path):
     loaded = loaded_modules(tmp_path, IMPORT_SCRIPT)
     ours = {m for m in loaded if m == "repro" or m.startswith("repro.")}
     assert ours == RUNNER_IMPORT
+
+
+def test_request_loads_no_serve_stack(tmp_path):
+    """Validating and canonicalizing a request without job policies
+    needs neither the serve package nor the resilience layer."""
+    loaded = loaded_modules(tmp_path, REQUEST_SCRIPT)
+    assert not loaded & {"repro.serve", "repro.resilience", "asyncio"}

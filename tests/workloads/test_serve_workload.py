@@ -98,31 +98,33 @@ class TestCacheKey:
 class TestWorkerSpec:
     def test_sweep_spec_carries_the_workload(self):
         request = validate_request(sweep(workload="closest_pair"))
-        spec = build_spec(
-            canonical_request(request), request, results_dir="results"
-        )
-        assert spec.workload == "closest_pair"
-        assert spec.sweep["workload"] == "closest_pair"
+        spec = build_spec(request, results_dir="results")
+        assert spec.request.workload == "closest_pair"
+        assert spec.request.kind == "sweep"
 
     def test_figure_spec_carries_the_workload(self):
         request = validate_request(figure(workload="matmul"))
-        spec = build_spec(
-            canonical_request(request), request, results_dir="results"
-        )
-        assert spec.workload == "matmul"
-        assert spec.experiments == ("figw",)
+        spec = build_spec(request, results_dir="results")
+        assert spec.request.workload == "matmul"
+        assert spec.request.experiments == ("figw",)
 
 
 class TestRunnerValidation:
     def test_unknown_workload_raises_value_error(self):
-        spec = RunSpec(experiments=("figw",), workload="no_such_workload")
         with pytest.raises(ValueError, match="mergesort"):
-            run_request(spec)
+            run_request(
+                RunSpec(request=validate_request(
+                    figure(workload="no_such_workload")
+                ))
+            )
 
     def test_figure_workload_without_figw_raises(self):
-        spec = RunSpec(experiments=("fig8",), workload="strassen")
         with pytest.raises(ValueError, match="figw"):
-            run_request(spec)
+            run_request(
+                RunSpec(request=validate_request(
+                    figure(experiments=["fig8"], workload="strassen")
+                ))
+            )
 
 
 def _manifest(**overrides):
