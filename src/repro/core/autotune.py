@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.schedule.advanced import AdvancedSchedule
+from repro.core.schedule import macro as _macro
+from repro.core.schedule import program as _program
+from repro.core.schedule.advanced import AdvancedPlan, AdvancedSchedule
 from repro.core.schedule.executor import HybridRunResult, ScheduleExecutor
 from repro.core.schedule.workload import DCWorkload
 from repro.errors import ScheduleError
@@ -34,7 +36,7 @@ class TunedPoint:
     alpha: Optional[float]  # None: the CPU-only fallback won
     transfer_level: Optional[int]
     result: HybridRunResult
-    evaluations: int  # executor runs spent
+    evaluations: int  # executor runs spent; memo hits and skips are free
 
     @property
     def used_gpu(self) -> bool:
@@ -48,8 +50,21 @@ class AutoTuner:
     every sweep point, and :meth:`evaluate` memoizes its results on the
     (α, y) key — the executor is deterministic and the measurement noise
     is keyed, not sequential, so a repeated operating point is always
-    the same measurement.  ``tuned.evaluations`` therefore counts
-    *executor runs actually spent*, not grid points visited.
+    the same measurement.
+
+    The searches also skip points that provably cannot win (a
+    branch-and-bound step with an exact bound): a point whose
+    :func:`~repro.core.schedule.macro.floors` bound, noised with the
+    run's own keyed draw, already gives a speedup no better than the
+    incumbent's is never run, since the strict ``>`` update could not
+    take it.  The selected point is the one the unpruned search
+    selects, ties included.  Only :func:`~repro.core.schedule.macro.
+    closed_form` runs are pruned (no fault plan, resilience session or
+    execute hook), traced or not, replayed or on the DES.  A skipped
+    point leaves no memo entry, only the bound that skipped it (a
+    revisit against an incumbent no slower skips at once), so
+    ``tuned.evaluations`` counts *executor runs actually spent*:
+    neither memo hits nor skipped points.
     """
 
     def __init__(
@@ -72,6 +87,13 @@ class AutoTuner:
             Tuple[float, int], Union[HybridRunResult, ScheduleError]
         ] = {}
         self._cpu_fallback: Optional[HybridRunResult] = None
+        #: The last point compiled, as (key, plan, program): the skip
+        #: test and the run that may follow it share one compilation.
+        self._compiled: Optional[tuple] = None
+        #: (α, y) -> the speedup bound that skipped the point, so that a
+        #: later sweep over it (a refinement pass, an overlapping grid)
+        #: skips it again without compiling or pricing anything.
+        self._bounds: Dict[Tuple[float, int], float] = {}
         #: Executor runs spent over this tuner's lifetime (cache misses).
         self.executor_runs = 0
 
@@ -102,16 +124,7 @@ class AutoTuner:
             if isinstance(cached, ScheduleError):
                 raise cached
             return cached
-        try:
-            plan = self.scheduler.plan(
-                self.workload,
-                self.hpu.parameters,
-                alpha=key[0],
-                transfer_level=key[1],
-            )
-        except ScheduleError as err:
-            self._cache[key] = err
-            raise
+        plan, program = self._compile(key)
         tracer = active_tracer()
         if tracer is not None:
             # Tag the run the executor is about to open, so fig7/fig10
@@ -119,10 +132,57 @@ class AutoTuner:
             tracer.annotate_next_run(
                 autotune="evaluate", alpha=key[0], transfer_level=key[1]
             )
-        result = self.executor.run_advanced(plan)
+        result = self.executor.run_advanced(plan, program)
         self.executor_runs += 1
         self._cache[key] = result
         return result
+
+    def _compile(
+        self, key: Tuple[float, int]
+    ) -> Tuple[AdvancedPlan, _program.Program]:
+        """The plan and step program of a point missing from the memo;
+        an inadmissible point's :class:`ScheduleError` is memoized and
+        raised."""
+        compiled = self._compiled
+        if compiled is not None and compiled[0] == key:
+            return compiled[1], compiled[2]
+        try:
+            plan = self.scheduler.plan(
+                self.workload,
+                self.hpu.parameters,
+                alpha=key[0],
+                transfer_level=key[1],
+            )
+            program = _program.advanced(self.workload, plan)
+        except ScheduleError as err:
+            self._cache[key] = err
+            raise
+        self._compiled = (key, plan, program)
+        return plan, program
+
+    def _cannot_win(self, key: Tuple[float, int], bar: float) -> bool:
+        """Whether the point's speedup provably cannot exceed ``bar``.
+
+        Its makespan is at least each floor, and the keyed noise
+        multiplies by ``1 + eps > 0``, so its speedup is at most
+        ``sequential_ops / noised floor``: monotone float operations
+        all, so the bound is exact.  Stops at the first floor that
+        settles it, before the remaining levels are priced.
+        """
+        known = self._bounds.get(key)
+        if known is not None and known <= bar:
+            return True
+        x = self.executor
+        program = self._compile(key)[1]
+        sequential = x.sequential_ops()
+        apply, name = x.noise.apply, x.workload.name
+        noise_key = program.noise_key
+        for floor in _macro.floors(x, program):
+            noised = apply(floor, name, *noise_key)
+            if noised > 0.0 and sequential / noised <= bar:
+                self._bounds[key] = sequential / noised
+                return True
+        return False
 
     def evaluate_cpu_fallback(self) -> HybridRunResult:
         """The multicore-only execution (memoized like the grid points)."""
@@ -171,30 +231,44 @@ class AutoTuner:
         alphas = self.default_alphas() if alphas is None else alphas
         levels = self.default_levels() if levels is None else levels
         runs_before = self.executor_runs
-        best: Optional[HybridRunResult] = None
-        best_point: Tuple[Optional[float], Optional[int]] = (None, None)
-        if include_cpu_fallback:
-            best = self.evaluate_cpu_fallback()
-        for level in levels:
-            for alpha in alphas:
-                try:
-                    result = self.evaluate(float(alpha), int(level))
-                except ScheduleError:
-                    continue
-                if best is None or result.speedup > best.speedup:
-                    best = result
-                    best_point = (float(alpha), int(level))
+        best = self.evaluate_cpu_fallback() if include_cpu_fallback else None
+        best, point = self._search(alphas, levels, best, (None, None))
         if best is None:
             raise ScheduleError(
                 "auto-tuning found no admissible operating point"
             )
         return TunedPoint(
-            best.speedup,
-            best_point[0],
-            best_point[1],
-            best,
-            self.executor_runs - runs_before,
+            best.speedup, *point, best, self.executor_runs - runs_before
         )
+
+    def _search(
+        self,
+        alphas: Sequence[float],
+        levels: Sequence[int],
+        best: Optional[HybridRunResult],
+        point: Tuple[Optional[float], Optional[int]],
+    ) -> Tuple[Optional[HybridRunResult], tuple]:
+        """Scan the grid level-major from the incumbent ``best`` (at
+        ``point``); a point replaces it only when strictly faster.
+        Returns the final incumbent and its point."""
+        prune = _macro.closed_form(self.executor)
+        for level in levels:
+            for alpha in alphas:
+                key = (float(alpha), int(level))
+                try:
+                    if (
+                        prune
+                        and best is not None
+                        and key not in self._cache
+                        and self._cannot_win(key, best.speedup)
+                    ):
+                        continue
+                    result = self.evaluate(*key)
+                except ScheduleError:
+                    continue
+                if best is None or result.speedup > best.speedup:
+                    best, point = result, key
+        return best, point
 
     def tune_adaptive(
         self,
@@ -205,13 +279,16 @@ class AutoTuner:
     ) -> TunedPoint:
         """Coarse-to-fine search: a decimated grid, then refinement.
 
-        Evaluates every ``coarse``-th α and level, then re-tunes the
-        full-resolution neighbourhood around the incumbent.  Thanks to
-        :meth:`evaluate`'s memoization the refinement pass pays nothing
-        for re-crossing coarse points, so the total cost drops from
-        ``|alphas| x |levels|`` to roughly ``that / coarse**2`` plus a
-        ``(2 coarse - 1)**2`` neighbourhood — tens of runs instead of
-        hundreds on the Fig. 8/10 grids.  The incumbent-refinement
+        Evaluates every ``coarse``-th α and level, then scans the
+        full-resolution neighbourhood around the incumbent, which a
+        point replaces only when strictly faster (so the refinement
+        pass also skips every point that cannot beat the coarse best).
+        Thanks to :meth:`evaluate`'s memoization the refinement pass
+        pays nothing for re-crossing coarse points, so the total cost
+        drops from ``|alphas| x |levels|`` to roughly ``that /
+        coarse**2`` plus a ``(2 coarse - 1)**2`` neighbourhood — tens of
+        runs instead of hundreds on the Fig. 8/10 grids.  The
+        incumbent-refinement
         search can in principle settle on a slightly different point
         than the exhaustive grid (it is a search heuristic, not an
         executor change), which is why only the ``--fast`` experiment
@@ -246,16 +323,13 @@ class AutoTuner:
             )
             near_alphas = alphas[max(0, ai - coarse + 1) : ai + coarse]
             near_levels = levels[max(0, yi - coarse + 1) : yi + coarse]
-            try:
-                refined = self.tune(
-                    near_alphas,
-                    near_levels,
-                    include_cpu_fallback=False,
-                )
-            except ScheduleError:  # pragma: no cover - incumbent admissible
-                refined = best
-            if refined.speedup > best.speedup:
-                best = refined
+            result, point = self._search(
+                near_alphas,
+                near_levels,
+                best.result,
+                (best.alpha, best.transfer_level),
+            )
+            best = TunedPoint(result.speedup, *point, result, 0)
         return TunedPoint(
             best.speedup,
             best.alpha,

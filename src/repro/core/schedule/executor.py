@@ -340,7 +340,11 @@ class ScheduleExecutor:
             result = self._des(_program.basic(self.workload, plan))
         return result
 
-    def run_advanced(self, plan: AdvancedPlan) -> HybridRunResult:
+    def run_advanced(
+        self,
+        plan: AdvancedPlan,
+        program: Optional[_program.Program] = None,
+    ) -> HybridRunResult:
         """§5.2 / Algorithm 8: two concurrent sides below the split
         level, then the top.
 
@@ -349,10 +353,15 @@ class ScheduleExecutor:
         the shared core pool (competing FIFO-fairly with the CPU side,
         like the gpu-tail always has) and the run still produces a
         correct result — the degraded mode of ``docs/RESILIENCE.md``.
+        ``program`` is ``plan`` already compiled
+        (:func:`~repro.core.schedule.program.advanced`), when the
+        caller has it.
         """
-        result = _macro.try_macro_advanced(self, plan)
+        if program is None:
+            program = _program.advanced(self.workload, plan)
+        result = _macro.try_macro_advanced(self, plan, program)
         if result is None:
-            result = self._des(_program.advanced(self.workload, plan))
+            result = self._des(program)
         return result
 
     def run_advanced_parallel_tail(self, plan) -> HybridRunResult:

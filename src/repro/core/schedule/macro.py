@@ -51,6 +51,10 @@ replay can no longer bail, and a traced run whose two sides complete
 something at the exact same timestamp — where the DES order would
 depend on event sequence numbers — bails to the DES.
 
+The same arithmetic with contention left out gives :func:`floors`,
+exact lower bounds on a run's raw makespan, which the auto-tuner reads
+to skip points that cannot beat its incumbent without running them.
+
 Anything guarded, hooked, or slow-path always takes the DES, and
 ``ScheduleExecutor(macro=False)`` forces it per executor (the DES
 oracle the tests compare against).
@@ -76,22 +80,30 @@ from repro.util.intmath import ceil_div
 _end = itemgetter(1)  # an interval's end
 
 
-def macro_enabled(executor) -> bool:
-    """Whether ``executor``'s next run may skip the DES entirely.
+def closed_form(executor) -> bool:
+    """Whether ``executor``'s next run is a pure function of its
+    program's closed-form durations.
 
     Requires the fast path (the reference path exists to exercise the
     DES), no resilience config (explicit or ambient session: faults and
-    deadlines need events), and no functional execute hook (hooks
-    observe per-batch scheduling order).  An active tracer does not
-    matter: the replay records the same trace.
+    deadlines need events, and recovery records are part of a result),
+    and no functional execute hook (hooks observe per-batch scheduling
+    order).  Such runs may replay, and their :func:`floors` may prune
+    them; an active tracer does not matter.
     """
     return (
-        executor.macro is not False
-        and executor.fast
+        executor.fast
         and executor.resilience is None
         and executor.workload.execute is None
         and resilience_session() is None
     )
+
+
+def macro_enabled(executor) -> bool:
+    """Whether ``executor``'s next run may skip the DES entirely: a
+    :func:`closed_form` run on an executor that does not force the DES.
+    The replay records the same trace, so tracing does not matter."""
+    return executor.macro is not False and closed_form(executor)
 
 
 #: Row parts and attr dicts shared by every executor's templates: equal
@@ -260,6 +272,45 @@ class _Xfer(_Template):
         return ((self.tag, "gpu.xfer", "gpu", {"words": self.words}),)
 
 
+def _teams(executor, batches, cores: int) -> list:
+    """CPU batches as :class:`_Team` templates, cached per executor on
+    ``(level, count, cores, prefix)``."""
+    cache = executor._team_cache
+    teams = []
+    for level, _offset, count, prefix in batches:
+        key = (level, count, cores, prefix)
+        team = cache.get(key)
+        if team is None:
+            team = cache[key] = _Team(executor, level, count, cores, prefix)
+        teams.append(team)
+    return teams
+
+
+def _level(executor, level, offset: int, count: int, parallel: bool):
+    """One GPU level's :class:`_Level` template.  ``gpu_steps`` is a
+    pure function of its arguments, so whole levels cache on the
+    executor, skipping step construction and kernel pricing on the
+    sweeps that replay identical levels hundreds of times."""
+    cache = executor._gpu_level_cache
+    key = (level, count, offset, parallel)
+    template = cache.get(key)
+    if template is None:
+        template = cache[key] = _Level(
+            executor, level, offset, count, parallel
+        )
+    return template
+
+
+def _xfer(executor, tag: str, words: int) -> _Xfer:
+    """One transfer's :class:`_Xfer` template, cached per executor."""
+    cache = executor._xfer_cache
+    key = (tag, words)
+    template = cache.get(key)
+    if template is None:
+        template = cache[key] = _Xfer(executor, tag, words)
+    return template
+
+
 class _MacroRun:
     """Closed-form mirror of the executor's per-run state.
 
@@ -298,17 +349,7 @@ class _MacroRun:
     # -- CPU -----------------------------------------------------------
     def teams(self, batches) -> list:
         """A program's CPU batches as :class:`_Team` templates."""
-        x = self.x
-        cache = x._team_cache
-        cores = self.cores
-        teams = []
-        for level, _offset, count, prefix in batches:
-            key = (level, count, cores, prefix)
-            team = cache.get(key)
-            if team is None:
-                team = cache[key] = _Team(x, level, count, cores, prefix)
-            teams.append(team)
-        return teams
+        return _teams(self.x, batches, self.cores)
 
     def count_batch(self, team: _Team) -> None:
         """The DES's ``cpu_batch`` call: fold the team into its level's
@@ -370,17 +411,7 @@ class _MacroRun:
     def gpu_level(self, now: float, level, offset: int, count: int,
                   parallel: bool) -> float:
         """The kernel chain of one level; returns its end time."""
-        # gpu_steps is a pure function of its arguments, so whole levels
-        # cache on the executor, skipping step construction and kernel
-        # pricing on the sweeps that replay identical levels hundreds of
-        # times.
-        cache = self.x._gpu_level_cache
-        key = (level, count, offset, parallel)
-        template = cache.get(key)
-        if template is None:
-            template = cache[key] = _Level(
-                self.x, level, offset, count, parallel
-            )
+        template = _level(self.x, level, offset, count, parallel)
         if self.tracer is not None:
             self.device.append((template, now))
         intervals = self.gpu_iv
@@ -395,11 +426,7 @@ class _MacroRun:
 
     def gpu_transfer(self, now: float, words: int, tag: str) -> float:
         """One host↔device transfer; returns its end time."""
-        cache = self.x._xfer_cache
-        key = (tag, words)
-        template = cache.get(key)
-        if template is None:
-            template = cache[key] = _Xfer(self.x, tag, words)
+        template = _xfer(self.x, tag, words)
         if self.tracer is not None:
             self.device.append((template, now))
         duration = template.durations[0]
@@ -708,6 +735,61 @@ def replay(executor, program):
     return run.finish(now, program, cpu_end, gpu_span)
 
 
+# ----------------------------------------------------------------------
+# the makespan floor
+# ----------------------------------------------------------------------
+def floors(executor, program):
+    """Raw-makespan floors of a one-card ``program``, cheapest first.
+
+    The replay's own uncontended arithmetic: the CPU side ``C`` chains
+    its teams' ``durations[0]`` from 0, the device side ``D`` chains the
+    h2d transfer, every kernel and the d2h transfer, the tail ``T``
+    chains its teams from ``D``, and the top chains from ``max(C, D+T)``
+    (a program without a CPU side chains exactly as :func:`replay`
+    does).  Each floor is that sum with only a prefix of the kernels
+    priced — the transfers alone, then one more level at a time — so
+    the floors never decrease and the last one prices every level.
+
+    The last floor equals the raw (pre-noise) makespan of an
+    uncontended run, and bounds every other run from below: contention
+    only delays core grants, and float addition of non-negative
+    durations is monotone, so the DES and the replay both end at or
+    after it.  Striped programs, whose transfers queue on a shared
+    link, yield nothing.
+    """
+    if program.striped:
+        return
+    x = executor
+    cores = program.cores
+    if cores is None:
+        cores = x.hpu.cpu_spec.p
+    cpu_end = 0.0
+    for team in _teams(x, program.cpu, cores):
+        cpu_end += team.durations[0]
+    tail = [team.durations[0] for team in _teams(x, program.tail, cores)]
+    top = [team.durations[0] for team in _teams(x, program.top, cores)]
+
+    def total(device_end: float) -> float:
+        for duration in tail:
+            device_end += duration
+        now = cpu_end if cpu_end >= device_end else device_end
+        for duration in top:
+            now += duration
+        return now
+
+    if not program.chains:
+        yield total(0.0)
+        return
+    chain = program.chains[0]
+    now = _xfer(x, "h2d", chain.words).durations[0]
+    d2h = _xfer(x, "d2h", chain.words).durations[0]
+    yield total(now + d2h)
+    for level, offset, count, parallel in chain.levels:
+        for duration in _level(x, level, offset, count, parallel).durations:
+            now += duration
+        yield total(now + d2h)
+
+
 def try_macro_cpu_only(executor, cores: Optional[int] = None):
     """The replay of ``run_cpu_only``, or ``None`` to run the DES."""
     if not macro_enabled(executor):
@@ -724,14 +806,16 @@ def try_macro_basic(executor, plan):
     return replay(executor, _program.basic(executor.workload, plan))
 
 
-def try_macro_advanced(executor, plan):
+def try_macro_advanced(executor, plan, program=None):
     """The replay of ``run_advanced`` — or, for a
     :class:`~repro.core.schedule.extensions.ParallelTailPlan`, of
-    ``run_advanced_parallel_tail`` — or ``None`` to run the DES."""
+    ``run_advanced_parallel_tail`` — or ``None`` to run the DES.
+    ``program`` is ``plan`` already compiled, when the caller has it."""
     if not macro_enabled(executor):
         return None
-    if isinstance(plan, ParallelTailPlan):
-        compile_plan = _program.parallel_tail
-    else:
-        compile_plan = _program.advanced
-    return replay(executor, compile_plan(executor.workload, plan))
+    if program is None:
+        if isinstance(plan, ParallelTailPlan):
+            program = _program.parallel_tail(executor.workload, plan)
+        else:
+            program = _program.advanced(executor.workload, plan)
+    return replay(executor, program)

@@ -283,12 +283,13 @@ def _build_manifest(
     import os
 
     import repro
-    from repro.experiments.common import MEASUREMENT_NOISE
     from repro.hpu import PLATFORMS
     from repro.obs.manifest import RunManifest, platform_manifest
-    from repro.util.rng import DEFAULT_SEED
 
     spec = outcome.spec
+    # The canonical request resolves the defaults: a custom sweep's
+    # own seed and noise, the library's for everything else.
+    request = outcome.request
     return RunManifest(
         host_cpus=os.cpu_count() or 1,
         run_id=outcome.run_id,
@@ -301,8 +302,8 @@ def _build_manifest(
         platforms={
             name: platform_manifest(hpu) for name, hpu in PLATFORMS.items()
         },
-        seed=DEFAULT_SEED,
-        noise_amplitude=MEASUREMENT_NOISE.amplitude,
+        seed=request["seed"],
+        noise_amplitude=request["noise_amplitude"],
         repro_version=repro.__version__,
         results={
             key: {"title": res.title, "notes": list(res.notes)}
@@ -323,8 +324,8 @@ def _build_manifest(
         conformance=outcome.conformance or {},
         analysis=analysis or {},
         cache_key=outcome.cache_key,
-        request=outcome.request,
-        workload=outcome.request["workload"],
+        request=request,
+        workload=request["workload"],
     )
 
 
@@ -771,8 +772,15 @@ def main(argv=None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
 
+    from repro.errors import ReproError
+
     try:
         outcome = run_request(spec, on_result=emit)
+    except ReproError as exc:
+        # A run that fails for a modelled reason (a fault plan's lost
+        # device, an inadmissible plan) is a result, not a crash.
+        print(f"{parser.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     finally:
         if profiler is not None:
             profiler.disable()

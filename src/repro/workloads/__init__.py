@@ -1,10 +1,13 @@
 """Generic D&C workload registry (see docs/WORKLOADS.md).
 
-Importing this package registers the built-in entries — mergesort (the
-reference), quicksort, closest pair, Strassen, FFT and classical
-matmul — and re-exports the registry API.  Downstream consumers
-(``figw``, the serve protocol, the autotuner cache) address workloads
-by their registered id and never import adapters directly.
+The registry lists the built-in entries — mergesort (the reference),
+quicksort, closest pair, Strassen, FFT and classical matmul — from the
+start, and imports each one's adapter (and its ``repro.algorithms``
+module) on the entry's first lookup, so a run that sweeps one workload
+loads one adapter.  This package re-exports the registry API.
+Downstream consumers (``figw``, the serve protocol, the autotuner
+cache) address workloads by their registered id and never import
+adapters directly.
 """
 
 from __future__ import annotations
@@ -23,15 +26,6 @@ from repro.workloads.registry import (
     workload_ids,
 )
 from repro.workloads.synthetic import CoverageRecorder, make_synthetic_workload
-
-# Built-in adapters: importing each module registers its ENTRY.  Order
-# matters only for listings; mergesort first as the reference entry.
-from repro.workloads import mergesort as _mergesort  # noqa: E402
-from repro.workloads import quicksort as _quicksort  # noqa: E402
-from repro.workloads import closest_pair as _closest_pair  # noqa: E402
-from repro.workloads import strassen as _strassen  # noqa: E402
-from repro.workloads import fft as _fft  # noqa: E402
-from repro.workloads import matmul as _matmul  # noqa: E402
 
 __all__ = [
     "DEFAULT_WORKLOAD",

@@ -17,6 +17,8 @@ See ``docs/WORKLOADS.md`` for the registration walkthrough.
 
 from __future__ import annotations
 
+import importlib
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -142,23 +144,53 @@ class WorkloadEntry:
 # ----------------------------------------------------------------------
 # the registry proper
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[str, WorkloadEntry] = {}
+#: The built-in ids, in listing order (mergesort first, the reference
+#: entry), and the adapter module whose import registers each.
+_BUILTINS: Dict[str, str] = {
+    workload_id: f"repro.workloads.{workload_id}"
+    for workload_id in (
+        "mergesort", "quicksort", "closest_pair", "strassen", "fft", "matmul",
+    )
+}
+
+#: id -> entry; ``None`` marks a built-in whose adapter has not been
+#: imported yet.  A run that sweeps one workload imports one adapter.
+_REGISTRY: Dict[str, Optional[WorkloadEntry]] = dict.fromkeys(_BUILTINS)
+
+
+def _resolve(workload_id: str) -> Optional[WorkloadEntry]:
+    """The entry under ``workload_id`` (importing a pending built-in's
+    adapter, which registers it), or ``None`` when there is none."""
+    entry = _REGISTRY.get(workload_id)
+    if entry is None and workload_id in _REGISTRY:
+        importlib.import_module(_BUILTINS[workload_id])
+        entry = _REGISTRY[workload_id]
+    return entry
 
 
 def register(entry: WorkloadEntry, replace: bool = False) -> WorkloadEntry:
     """Add one entry; duplicate ids are an error unless ``replace``."""
-    if not replace and entry.workload_id in _REGISTRY:
-        raise WorkloadError(
-            f"workload {entry.workload_id!r} is already registered"
-        )
-    _REGISTRY[entry.workload_id] = entry
+    workload_id = entry.workload_id
+    if (
+        workload_id in _REGISTRY
+        and _REGISTRY[workload_id] is None
+        and _BUILTINS[workload_id] not in sys.modules
+    ):
+        # A pending built-in: load it first, as an eager registry
+        # would have, so its adapter never registers over this entry.
+        # (Mid-import, the adapter's own registration skips this.)
+        _resolve(workload_id)
+    if not replace and _REGISTRY.get(workload_id) is not None:
+        raise WorkloadError(f"workload {workload_id!r} is already registered")
+    _REGISTRY[workload_id] = entry
     return entry
 
 
 def unregister(workload_id: str) -> None:
     """Remove an entry (primarily for tests registering toys)."""
-    if _REGISTRY.pop(workload_id, None) is None:
+    if _resolve(workload_id) is None:
         raise WorkloadError(f"unknown workload {workload_id!r}")
+    del _REGISTRY[workload_id]
 
 
 def is_registered(workload_id: str) -> bool:
@@ -167,7 +199,7 @@ def is_registered(workload_id: str) -> bool:
 
 def get(workload_id: str) -> WorkloadEntry:
     """Look one entry up; unknown ids list what is available."""
-    entry = _REGISTRY.get(workload_id)
+    entry = _resolve(workload_id)
     if entry is None:
         raise WorkloadError(
             f"unknown workload {workload_id!r}; registered: "
@@ -177,10 +209,10 @@ def get(workload_id: str) -> WorkloadEntry:
 
 
 def workload_ids() -> Tuple[str, ...]:
-    """All registered ids, in registration order."""
+    """All registered ids, in registration order (built-ins first)."""
     return tuple(_REGISTRY)
 
 
 def entries() -> Tuple[WorkloadEntry, ...]:
     """All registered entries, in registration order."""
-    return tuple(_REGISTRY.values())
+    return tuple([_resolve(workload_id) for workload_id in list(_REGISTRY)])

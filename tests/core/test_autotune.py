@@ -5,6 +5,7 @@ from repro.core.autotune import AutoTuner
 from repro.core.schedule import AdvancedSchedule
 from repro.errors import ScheduleError
 from repro.hpu import HPU1
+from tests.reference_search import reference_tune, reference_tune_adaptive
 
 
 def tuner(n=1 << 18):
@@ -34,9 +35,16 @@ class TestAutoTuner:
         assert tuned.used_gpu
 
     def test_evaluation_count_reported(self):
+        """The count is the runs spent: the fallback plus the points
+        not skipped, never more than the unpruned search's 4 + 1."""
         t = tuner(1 << 14)
         tuned = t.tune(alphas=[0.2, 0.3], levels=[10, 12])
-        assert tuned.evaluations == 5  # 4 grid points + fallback
+        assert tuned.evaluations == t.executor_runs
+        reference = reference_tune(
+            tuner(1 << 14), alphas=[0.2, 0.3], levels=[10, 12]
+        )
+        assert reference.evaluations == 5  # 4 grid points + fallback
+        assert 1 <= tuned.evaluations <= reference.evaluations
 
     def test_warm_start_cheaper_than_full_grid(self):
         t = tuner(1 << 20)
@@ -102,13 +110,24 @@ class TestEvaluationCache:
         assert t.executor_runs == 1
 
     def test_overlapping_tunes_share_the_cache(self):
-        """A second sweep over a superset grid only pays for new points."""
+        """A second sweep over a superset grid re-runs no memoized
+        point: it pays only for points the memo lacks."""
         t = tuner(1 << 14)
         t.tune(alphas=[0.2, 0.3], levels=[10, 12])
-        assert t.executor_runs == 5  # 4 points + fallback
+        memo = dict(t._cache)
+        runs = t.executor_runs
+        assert len(memo) == runs - 1  # every grid run, not the fallback
         second = t.tune(alphas=[0.2, 0.3, 0.4], levels=[10, 12])
-        assert second.evaluations == 2  # only the two 0.4 points
-        assert t.executor_runs == 7
+        assert second.evaluations == t.executor_runs - runs
+        new = set(t._cache) - set(memo)
+        assert second.evaluations == len(new)
+        assert all(t._cache[key] is value for key, value in memo.items())
+        reference = reference_tune(
+            tuner(1 << 14), alphas=[0.2, 0.3, 0.4], levels=[10, 12]
+        )
+        assert (second.alpha, second.transfer_level, second.speedup) == (
+            reference.alpha, reference.transfer_level, reference.speedup
+        )
 
 
 class TestPrefetch:
@@ -153,9 +172,13 @@ class TestAdaptiveTune:
         assert adaptive == exhaustive
 
     def test_cheaper_than_exhaustive_on_default_grids(self):
-        full = tuner(1 << 18).tune()
+        """The coarse-to-fine search runs under half the exhaustive
+        grid, and pruning only ever lowers its count."""
+        full = reference_tune(tuner(1 << 18))
+        unpruned = reference_tune_adaptive(tuner(1 << 18))
         adaptive = tuner(1 << 18).tune_adaptive()
-        assert adaptive.evaluations < full.evaluations / 2
+        assert unpruned.evaluations < full.evaluations / 2
+        assert adaptive.evaluations <= unpruned.evaluations
         assert adaptive.used_gpu
 
     def test_finds_a_competitive_point(self):

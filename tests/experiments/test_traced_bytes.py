@@ -4,7 +4,9 @@ A traced ``--fast`` run writes a Chrome trace and a metrics document
 that are pure functions of the code's simulated behaviour, so their
 bytes are pinned here as blake2b digests.  fig7 and figw record their
 runs through the closed-form replay (contended tails included); ext1
-adds a dual-card run recorded by the discrete-event engine.  Any change
+adds a dual-card run recorded by the discrete-event engine.  figw's
+tuners skip the points that cannot win, so its trace records only the
+runs they spend.  Any change
 to what a traced run records, or to how the exporters encode it, moves
 a digest.  A change that moves one on purpose re-pins it here and says
 why in CHANGES.md.
@@ -27,8 +29,8 @@ DIGESTS = {
         "220f6a27b4997523ace18efcbfe3fb85",
     ),
     "figw": (
-        "adaef6706e06297ff50bc34d594a7c7a",
-        "48a02951a108eeaefad5d8e44724fa65",
+        "41c909e35f3083c35b8cc8e89132c242",
+        "579f374f776792043a1e5a846e792469",
     ),
     "ext1": (
         "80902997f8b6340c572c12eedb1af3ee",

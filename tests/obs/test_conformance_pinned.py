@@ -9,6 +9,9 @@ this is the early-warning tripwire the ISSUE asks for.
 
 The aggregates are fully deterministic (keyed measurement noise, fixed
 grids, order-independent reduction), so the assertions can be tight.
+The sweep runs on the unpruned reference search: the tuner skips the
+points that cannot win, and how many it skips is no property of the
+model, so the pinned population is every point the search visits.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from repro.core.model.oracle import (
 )
 from repro.experiments import fig8_speedup_vs_n
 from repro.obs.tracer import Tracer, deactivate, tracing
+from tests.reference_search import unpruned_tuners
 
 
 @pytest.fixture(autouse=True)
@@ -37,7 +41,7 @@ def fig8_conformance():
     # evaluation runs and shrink the pinned check count — start cold.
     common._TUNERS.clear()
     deactivate()
-    with tracing(Tracer()) as tr:
+    with unpruned_tuners(), tracing(Tracer()) as tr:
         fig8_speedup_vs_n.run(fast=True)
     common._TUNERS.clear()
     return conformance_from_attrs(

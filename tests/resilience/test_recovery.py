@@ -406,6 +406,30 @@ class TestRunnerFlags:
             runner.main(["table1", "--fault-plan", str(bad)])
         assert "--fault-plan" in capsys.readouterr().err
 
+    def test_run_error_is_one_typed_stderr_line(self, tmp_path, capsys):
+        """A device loss no policy recovers from exits non-zero with
+        one line naming the error, not a traceback."""
+        from repro.experiments import common, runner
+
+        plan = FaultPlan(name="lost", faults=(FaultSpec(site="device"),))
+        plan_path = plan.save(tmp_path / "plan.json")
+        common._TUNERS.clear()
+        try:
+            rc = runner.main(
+                [
+                    "ext1", "--fast", "--fault-plan", str(plan_path),
+                    "--results-dir", str(tmp_path / "results"),
+                ]
+            )
+        finally:
+            common._TUNERS.clear()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "repro-experiments: DeviceLostError: injected device loss: "
+            "'gpu' at t=0 ('transfer' operation 1)"
+        ]
+
 
 class TestObservabilityIntegration:
     def test_recovery_surfaces_in_metrics_and_instants(self):

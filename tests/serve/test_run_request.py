@@ -77,6 +77,24 @@ class TestRunRequest:
         index = (tmp_path / "index.jsonl").read_text().strip()
         assert json.loads(index)["cache_key"] == outcome.cache_key
 
+    def test_manifest_reports_the_sweeps_own_seed_and_noise(self, tmp_path):
+        request = dict(TINY_SWEEP, seed=7, noise_amplitude=0.05)
+        outcome = run_request(tiny_spec(tmp_path, request, run_id="own"))
+        manifest = json.loads(Path(outcome.manifest_path).read_text())
+        assert (manifest["seed"], manifest["noise_amplitude"]) == (7, 0.05)
+        assert manifest["request"]["seed"] == 7
+        index = json.loads((tmp_path / "index.jsonl").read_text())
+        assert index["seed"] == 7
+
+    def test_default_manifest_reports_the_library_defaults(self, tmp_path):
+        from repro.experiments.common import MEASUREMENT_NOISE
+        from repro.util.rng import DEFAULT_SEED
+
+        outcome = run_request(tiny_spec(tmp_path, run_id="defaults"))
+        manifest = json.loads(Path(outcome.manifest_path).read_text())
+        assert manifest["seed"] == DEFAULT_SEED
+        assert manifest["noise_amplitude"] == MEASUREMENT_NOISE.amplitude
+
     def test_results_are_deterministic(self, tmp_path):
         a = run_request(tiny_spec(tmp_path, run_id="a"))
         b = run_request(tiny_spec(tmp_path, run_id="b"))

@@ -10,7 +10,8 @@ that derives its cache identity (only a manifest, a JSON log or a serve
 worker reads that).  The results are a closed-form model, a schedule
 replay and the calibration sweeps, all on the standard library alone,
 so no id loads numpy (about 0.13 s) and, without a fault plan, none
-loads ``repro.resilience``.  Only host-backed runs need numpy.  An
+loads ``repro.resilience``.  Only host-backed runs need numpy.  A
+mergesort sweep imports no other workload's adapter.  An
 untraced run loads neither the tracer, the metrics registry nor the
 model's conformance oracle, and
 only ext1, whose dual-card run queues on a shared host link, loads the
@@ -89,12 +90,23 @@ UNTRACED = (
 #: Ids whose runs take the DES: ext1's dual-card run.
 DES_IDS = {"ext1"}
 
+#: The adapters of the built-in workloads other than mergesort, with
+#: the algorithm modules they import.  The registry imports an adapter
+#: on its entry's first lookup, so a mergesort sweep loads none.
+OTHER_WORKLOADS = tuple(
+    f"repro.{package}.{name}"
+    for name in ("quicksort", "closest_pair", "strassen", "fft", "matmul")
+    for package in ("workloads", "algorithms")
+)
+
 #: Extra modules an id must not load: table1 prints a static table,
-#: and fig9 prices the Fig. 9 kernels without the hybrid schedule or
-#: the analytical model.
+#: fig9 prices the Fig. 9 kernels without the hybrid schedule or the
+#: analytical model, and fig8 and fig10 sweep mergesort only.
 EXTRA = {
     "table1": ("repro.core.schedule.executor", "repro.core.autotune"),
     "fig9": ("repro.core.schedule", "repro.core.model"),
+    "fig8": OTHER_WORKLOADS,
+    "fig10": OTHER_WORKLOADS,
 }
 
 #: Everything ``import repro.experiments.runner`` may load of the

@@ -25,6 +25,7 @@ from repro.hpu import HPU1
 from repro.obs.tracer import Tracer, deactivate, tracing
 from repro.workloads import VerificationError, get, workload_ids
 from repro.util.rng import DEFAULT_SEED
+from tests.reference_search import unpruned_tuners
 
 WORKLOADS = sorted(workload_ids())
 
@@ -132,14 +133,15 @@ class TestIndependentReferences:
 
 @pytest.mark.parametrize("workload_id", WORKLOADS)
 class TestConformanceBands:
-    """Pin each entry's oracle residual at its reference point."""
+    """Pin each entry's oracle residual at its reference point, over
+    every point the unpruned reference search runs."""
 
     def _conformance(self, entry):
         common._TUNERS.clear()
         deactivate()
         n = entry.default_sizes(fast=True)[-1]
         try:
-            with tracing(Tracer()) as tr:
+            with unpruned_tuners(), tracing(Tracer()) as tr:
                 common.sweep_best_operating_points(
                     [(HPU1, n)],
                     alphas=common.default_alpha_grid(fast=True),

@@ -91,6 +91,72 @@ class TestLookup:
             unregister("no_such_workload")
 
 
+#: Runs in a fresh interpreter, where no adapter is loaded yet.
+LAZY_SCRIPT = """\
+import sys
+from repro.workloads import (
+    WorkloadEntry, WorkloadError, get, is_registered, make_synthetic_workload,
+    register, unregister, workload_ids,
+)
+
+def adapters():
+    return sorted(m for m in sys.modules if m.startswith("repro.workloads.")
+                  and m not in ("repro.workloads.registry",
+                                "repro.workloads.synthetic"))
+
+def toy(workload_id):
+    return WorkloadEntry(
+        workload_id=workload_id, title="toy", recurrence="T(n) = 2T(n/2) + n",
+        build=lambda n: make_synthetic_workload(2, 2, 3),
+    )
+
+assert workload_ids()[0] == "mergesort" and is_registered("fft")
+assert adapters() == [], adapters()
+assert get("fft").workload_id == "fft"
+assert adapters() == ["repro.workloads.fft"], adapters()
+try:
+    register(toy("quicksort"))
+except WorkloadError:
+    pass
+else:
+    raise AssertionError("a pending built-in id was taken")
+replaced = register(toy("strassen"), replace=True)
+import repro.workloads.strassen
+assert get("strassen") is replaced
+unregister("matmul")
+import repro.workloads.matmul
+assert not is_registered("matmul")
+assert workload_ids() == (
+    "mergesort", "quicksort", "closest_pair", "strassen", "fft",
+), workload_ids()
+print("ok")
+"""
+
+
+class TestLazyAdapters:
+    def test_adapters_load_on_first_lookup(self):
+        """Listing ids imports no adapter; a lookup imports its own, and
+        a user entry over a built-in id meets the built-in as if the
+        registry were eager."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", LAZY_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
+
+
 class TestEntryValidation:
     def test_id_must_be_identifier(self):
         with pytest.raises(WorkloadError, match="identifier"):
